@@ -30,6 +30,9 @@ func (f *fakeMachine) Done() bool                            { return f.out != n
 func (f *fakeMachine) Output() anonmem.Word                  { return f.out }
 func (f *fakeMachine) Clone() machine.Machine                { c := *f; return &c }
 func (f *fakeMachine) StateKey() string                      { return fmt.Sprintf("fake:%v", f.out) }
+func (f *fakeMachine) Encode(dst []uint64) []uint64 {
+	return anonmem.AppendString(dst, f.StateKey())
+}
 
 func fakeSystem(t *testing.T, outs []anonmem.Word) *machine.System {
 	t.Helper()

@@ -24,9 +24,30 @@ import (
 // Word is the content of a single register. Implementations must be
 // immutable value-like types; two words are equal iff their Keys are equal.
 type Word interface {
-	// Key returns a canonical encoding of the word. It is used for state
-	// hashing in the exhaustive explorer and for equality.
+	// Key returns a canonical string encoding of the word, for traces,
+	// debugging and equality.
 	Key() string
+	// Encode appends the word's canonical encoding to dst and returns
+	// the extended slice: the same fields Key renders, as uint64 words,
+	// self-delimiting (variable-length parts carry a length prefix), so
+	// two words are equal iff their encodings are. The exhaustive
+	// explorer hashes these words; Encode must not allocate beyond
+	// growing dst.
+	Encode(dst []uint64) []uint64
+}
+
+// AppendString appends a self-delimiting word encoding of s to dst: its
+// byte length, then its bytes packed eight to a word, little-endian.
+func AppendString(dst []uint64, s string) []uint64 {
+	dst = append(dst, uint64(len(s)))
+	for i := 0; i < len(s); i += 8 {
+		var w uint64
+		for j := 0; j < 8 && i+j < len(s); j++ {
+			w |= uint64(s[i+j]) << (8 * j)
+		}
+		dst = append(dst, w)
+	}
+	return dst
 }
 
 // NoWriter marks a register that still holds its initial value.

@@ -10,7 +10,8 @@ import (
 // word is a trivial Word for tests.
 type word string
 
-func (w word) Key() string { return string(w) }
+func (w word) Key() string                  { return string(w) }
+func (w word) Encode(dst []uint64) []uint64 { return AppendString(dst, string(w)) }
 
 func TestNewValidation(t *testing.T) {
 	cases := []struct {

@@ -124,3 +124,12 @@ func (b *Blocking) StateKey() string {
 	sb.WriteString(strconv.Itoa(b.scanIdx))
 	return sb.String()
 }
+
+// blockingTag opens a Blocking encoding, as "blk:" opens its StateKey.
+const blockingTag = 'b'<<16 | 'l'<<8 | 'k'
+
+// Encode implements machine.Machine: the tag, view, phase and scan index.
+func (b *Blocking) Encode(dst []uint64) []uint64 {
+	dst = b.v.Encode(append(dst, blockingTag))
+	return append(dst, uint64(b.phase), uint64(b.scanIdx))
+}

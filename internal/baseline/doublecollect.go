@@ -35,8 +35,8 @@ type DoubleCollect struct {
 	unwritten uint64
 	phase     dcPhase
 	scanIdx   int
-	prev      []string // previous collect, register keys
-	cur       []string
+	prev      []view.View // previous collect, register views
+	cur       []view.View
 	acc       view.View
 	collects  int
 	done      bool
@@ -115,19 +115,19 @@ func (d *DoubleCollect) Advance(_ int, read anonmem.Word) {
 		}
 		d.phase = dcScan
 		d.scanIdx = 0
-		d.cur = make([]string, 0, d.m)
+		d.cur = make([]view.View, 0, d.m)
 		d.acc = view.Empty()
 	case dcScan:
 		cell, ok := read.(core.Cell)
 		if !ok {
 			panic(fmt.Sprintf("baseline: read unexpected word %T", read))
 		}
-		d.cur = append(d.cur, cell.View.Key())
+		d.cur = append(d.cur, cell.View)
 		d.acc = d.acc.Union(cell.View)
 		d.scanIdx++
 		if d.scanIdx == d.m {
 			d.collects++
-			same := d.prev != nil && equalStrings(d.prev, d.cur)
+			same := d.prev != nil && equalViews(d.prev, d.cur)
 			d.prev = d.cur
 			d.v = d.v.Union(d.acc)
 			if same {
@@ -145,12 +145,12 @@ func (d *DoubleCollect) Advance(_ int, read anonmem.Word) {
 	}
 }
 
-func equalStrings(a, b []string) bool {
+func equalViews(a, b []view.View) bool {
 	if len(a) != len(b) {
 		return false
 	}
 	for i := range a {
-		if a[i] != b[i] {
+		if !a[i].Equal(b[i]) {
 			return false
 		}
 	}
@@ -171,8 +171,8 @@ func (d *DoubleCollect) Output() anonmem.Word {
 // Clone implements machine.Machine.
 func (d *DoubleCollect) Clone() machine.Machine {
 	cp := *d
-	cp.prev = append([]string(nil), d.prev...)
-	cp.cur = append([]string(nil), d.cur...)
+	cp.prev = append([]view.View(nil), d.prev...)
+	cp.cur = append([]view.View(nil), d.cur...)
 	return &cp
 }
 
@@ -188,8 +188,38 @@ func (d *DoubleCollect) StateKey() string {
 	sb.WriteByte(':')
 	sb.WriteString(strconv.Itoa(d.scanIdx))
 	sb.WriteByte(':')
-	sb.WriteString(strings.Join(d.prev, ","))
+	writeKeys(&sb, d.prev)
 	sb.WriteByte(';')
-	sb.WriteString(strings.Join(d.cur, ","))
+	writeKeys(&sb, d.cur)
 	return sb.String()
+}
+
+// writeKeys renders a collect as its comma-separated view keys.
+func writeKeys(sb *strings.Builder, vs []view.View) {
+	for i, v := range vs {
+		if i > 0 {
+			sb.WriteByte(',')
+		}
+		sb.WriteString(v.Key())
+	}
+}
+
+// doubleCollectTag opens a DoubleCollect encoding, as "dc:" opens its
+// StateKey.
+const doubleCollectTag = 'd'<<8 | 'c'
+
+// Encode implements machine.Machine: the tag, view, unwritten mask,
+// phase and scan index, then both collects, each a count followed by
+// its views.
+func (d *DoubleCollect) Encode(dst []uint64) []uint64 {
+	dst = d.v.Encode(append(dst, doubleCollectTag))
+	dst = append(dst, d.unwritten, uint64(d.phase), uint64(d.scanIdx), uint64(len(d.prev)))
+	for _, v := range d.prev {
+		dst = v.Encode(dst)
+	}
+	dst = append(dst, uint64(len(d.cur)))
+	for _, v := range d.cur {
+		dst = v.Encode(dst)
+	}
+	return dst
 }

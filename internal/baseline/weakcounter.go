@@ -20,6 +20,14 @@ func (m Mark) Key() string {
 	return "0"
 }
 
+// Encode implements anonmem.Word.
+func (m Mark) Encode(dst []uint64) []uint64 {
+	if m {
+		return append(dst, 1)
+	}
+	return append(dst, 0)
+}
+
 var _ anonmem.Word = Mark(false)
 
 // UnsetMark is the initial register contents for weak-counter systems.
@@ -72,6 +80,9 @@ type Value int
 
 // Key implements anonmem.Word.
 func (v Value) Key() string { return strconv.Itoa(int(v)) }
+
+// Encode implements anonmem.Word.
+func (v Value) Encode(dst []uint64) []uint64 { return append(dst, uint64(v)) }
 
 var _ anonmem.Word = Value(0)
 
@@ -143,4 +154,13 @@ func (w *WeakCounter) Clone() machine.Machine {
 // StateKey implements machine.Machine.
 func (w *WeakCounter) StateKey() string {
 	return fmt.Sprintf("wc:%d:%d:%d", w.phase, w.pos, w.out)
+}
+
+// weakCounterTag opens a WeakCounter encoding, as "wc:" opens its
+// StateKey.
+const weakCounterTag = 'w'<<8 | 'c'
+
+// Encode implements machine.Machine: the tag, phase, position and output.
+func (w *WeakCounter) Encode(dst []uint64) []uint64 {
+	return append(dst, weakCounterTag, uint64(w.phase), uint64(w.pos), uint64(w.out))
 }

@@ -49,6 +49,8 @@ package canon
 
 import (
 	"fmt"
+	"math/bits"
+	"sync"
 
 	"anonshm/internal/machine"
 	"anonshm/internal/view"
@@ -92,7 +94,7 @@ type Symmetric interface {
 	SymmetryClass() string
 }
 
-// Relabelable is implemented by machines whose state keys can be
+// Relabelable is implemented by machines whose state encodings can be
 // rewritten under a bijective relabeling of input-value IDs — the β
 // component of a group element. Only algorithms oblivious to value
 // identity (using views solely through set operations) qualify.
@@ -100,23 +102,24 @@ type Relabelable interface {
 	// InputID returns the machine's input value ID; β is induced from
 	// these (β(input_p) = input_{π(p)}).
 	InputID() view.ID
-	// RelabelStateKey returns the StateKey the machine would have if
-	// every input ID in its state were replaced via relabel.
-	RelabelStateKey(relabel func(view.ID) view.ID) string
+	// EncodeRelabeled appends the Encode the machine would have if every
+	// input ID id in its state were replaced by beta[id] (IDs past
+	// len(beta) unchanged). beta permutes 0..len(beta)-1.
+	EncodeRelabeled(dst []uint64, beta []view.ID) []uint64
 }
 
-// WordRelabeler is implemented by register words whose keys can be
+// WordRelabeler is implemented by register words whose encodings can be
 // rewritten under an input-ID relabeling. Group elements with a
 // non-identity β skip (soundly) any state holding a word without it.
 type WordRelabeler interface {
-	// RelabelKey returns the Key the word would have if every input ID
-	// in it were replaced via relabel.
-	RelabelKey(relabel func(view.ID) view.ID) string
+	// EncodeRelabeled appends the Encode the word would have if every
+	// input ID id in it were replaced by beta[id] (IDs past len(beta)
+	// unchanged).
+	EncodeRelabeled(dst []uint64, beta []view.ID) []uint64
 }
 
 // Identity is the trivial canonicalizer: no symmetry reduction, states
-// are fingerprinted exactly as stored. Its fingerprints are
-// bit-compatible with the explorer's historical hashing.
+// are fingerprinted exactly as stored.
 type Identity struct{}
 
 // Bind implements Canonicalizer.
@@ -206,36 +209,43 @@ func (s Symmetry) Canonicalizer() Canonicalizer {
 	}
 }
 
-// FNV-1a constants, inlined to avoid per-state hasher allocations. The
-// identity element's hash is bit-compatible with the explorer's
-// historical fingerprint function, so -symmetry=none reproduces old
-// state counts exactly.
+// Fingerprints hash a state's word encoding (identityHasher,
+// groupHasher.hashUnder) with the xxHash64 word round and avalanche,
+// consuming one uint64 at a time.
 const (
-	fnvOffset64 = 14695981039346656037
-	fnvPrime64  = 1099511628211
+	prime1 = 0x9e3779b185ebca87
+	prime2 = 0xc2b2ae3d27d4eb4f
+	prime3 = 0x165667b19e3779f9
+	prime4 = 0x85ebca77c2b2ae63
+	prime5 = 0x27d4eb2f165667c5
 )
 
-func fnvString(fp uint64, s string) uint64 {
-	for i := 0; i < len(s); i++ {
-		fp ^= uint64(s[i])
-		fp *= fnvPrime64
-	}
-	fp ^= 0xff // separator
-	fp *= fnvPrime64
-	return fp
+// hashInit is the hash state before the first word.
+const hashInit = prime5
+
+// hashWord folds one word into the running hash h.
+func hashWord(h, w uint64) uint64 {
+	w = bits.RotateLeft64(w*prime2, 31) * prime1
+	return bits.RotateLeft64(h^w, 27)*prime1 + prime4
 }
 
-// mixCrash folds a (possibly permuted) crash mask into fp. Failure-free
-// states (mask 0) keep their historical hash.
-func mixCrash(fp, mask uint64) uint64 {
-	if mask == 0 {
-		return fp
+// hashWords folds words into the running hash h.
+func hashWords(h uint64, words []uint64) uint64 {
+	for _, w := range words {
+		h = hashWord(h, w)
 	}
-	// Mix the mask so single-bit crash differences flip ~half the
-	// fingerprint.
-	z := mask + 0x9e3779b97f4a7c15
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	return fp ^ z ^ (z >> 27)
+	return h
+}
+
+// hashFinish avalanches a running hash so every input bit reaches every
+// output bit.
+func hashFinish(h uint64) uint64 {
+	h ^= h >> 33
+	h *= prime2
+	h ^= h >> 29
+	h *= prime3
+	h ^= h >> 32
+	return h
 }
 
 // mixAux folds the auxiliary value into a finished fingerprint.
@@ -246,21 +256,37 @@ func mixAux(fp, aux uint64) uint64 {
 	return fp ^ (aux+0x9e3779b97f4a7c15)*0xff51afd7ed558ccd
 }
 
-// identityHasher hashes states exactly: registers in global order, then
-// every machine's state key, then the crash mask and aux.
+// scratch is the reusable encoding buffer of one Fingerprint call:
+// words holds register and machine encodings back to back, and ends[i]
+// is the end offset in words of the i-th encoded register or machine.
+type scratch struct {
+	words []uint64
+	ends  []int
+}
+
+// scratchPool recycles scratch buffers, so fingerprinting allocates
+// nothing in steady state while hashers stay safe for concurrent use.
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
+
+// identityHasher hashes states exactly: the words of the registers in
+// global order, then of every machine in processor order, then the crash
+// mask, with aux folded in last.
 type identityHasher struct{}
 
 // Fingerprint implements Hasher.
 func (identityHasher) Fingerprint(sys *machine.System, aux uint64) uint64 {
-	fp := uint64(fnvOffset64)
+	sc := scratchPool.Get().(*scratch)
+	words := sc.words[:0]
 	for g := 0; g < sys.Mem.M(); g++ {
-		fp = fnvString(fp, sys.Mem.CellAt(g).Key())
+		words = sys.Mem.CellAt(g).Encode(words)
 	}
 	for _, m := range sys.Procs {
-		fp = fnvString(fp, m.StateKey())
+		words = m.Encode(words)
 	}
-	fp = mixCrash(fp, sys.CrashMask())
-	return mixAux(fp, aux)
+	h := hashWord(hashWords(hashInit, words), sys.CrashMask())
+	sc.words = words
+	scratchPool.Put(sc)
+	return mixAux(hashFinish(h), aux)
 }
 
 // GroupSize implements Hasher.

@@ -23,7 +23,7 @@ var (
 	_ canon.Symmetric     = (*consensus.Consensus)(nil)
 )
 
-func snapSys(t *testing.T, inputs []string, wirings [][]int) *machine.System {
+func snapSys(t testing.TB, inputs []string, wirings [][]int) *machine.System {
 	t.Helper()
 	sys, _, err := core.NewSnapshotSystem(core.Config{Inputs: inputs, Wirings: wirings})
 	if err != nil {

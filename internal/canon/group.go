@@ -206,64 +206,92 @@ func permute(n int, f func(pi []int)) {
 }
 
 // Fingerprint implements Hasher: the minimum hash of sys's mirrors under
-// the admissible elements, with aux folded in afterwards.
+// the admissible elements, with aux folded in afterwards. Every register
+// and machine is encoded once; each element then hashes those encodings
+// in its mirrored order; an element with a non-identity β first
+// re-encodes the state relabeled by β into a second section.
 func (h *groupHasher) Fingerprint(sys *machine.System, aux uint64) uint64 {
-	min := ^uint64(0)
-	found := false
+	sc := scratchPool.Get().(*scratch)
+	words, ends := sc.words[:0], sc.ends[:0]
+	for g := 0; g < h.m; g++ {
+		words = sys.Mem.CellAt(g).Encode(words)
+		ends = append(ends, len(words))
+	}
+	for _, mach := range sys.Procs {
+		words = mach.Encode(words)
+		ends = append(ends, len(words))
+	}
+	plain := len(ends)
+	mask := sys.CrashMask()
+
+	best := ^uint64(0)
 	for i := range h.elems {
-		fp, ok := h.hashUnder(sys, &h.elems[i])
-		if ok && (!found || fp < min) {
-			min, found = fp, true
+		e := &h.elems[i]
+		if e.beta == nil {
+			best = min(best, h.hashUnder(e, words, ends[:plain], 0, mask))
+			continue
+		}
+		var ok bool
+		words, ends, ok = h.encodeRelabeled(sys, e.beta, words[:ends[plain-1]], ends[:plain])
+		if ok {
+			best = min(best, h.hashUnder(e, words, ends[plain:], ends[plain-1], mask))
 		}
 	}
-	// elems[0] is the identity, which always hashes, so found holds.
-	return mixAux(min, aux)
+	sc.words, sc.ends = words, ends
+	scratchPool.Put(sc)
+	// elems[0] is the identity, which always hashes, so best is a hash.
+	return mixAux(best, aux)
 }
 
 // GroupSize implements Hasher.
 func (h *groupHasher) GroupSize() int { return len(h.elems) }
 
-// hashUnder hashes the mirror of sys under one element, in the exact
-// layout of the identity hash: registers in global order, machine state
-// keys in processor order, crash mask. It reports false when the element
-// has a non-identity β and some register word cannot be relabeled —
-// skipping such an element costs reduction, never soundness.
-func (h *groupHasher) hashUnder(sys *machine.System, e *element) (uint64, bool) {
-	var relabel func(view.ID) view.ID
-	if e.beta != nil {
-		beta := e.beta
-		relabel = func(id view.ID) view.ID {
-			if int(id) < len(beta) {
-				return beta[id]
-			}
-			return id
+// encodeRelabeled appends sys's registers and machines relabeled by beta
+// to words, recording their end offsets in ends. It reports false when
+// some register word cannot be relabeled: the element is then skipped,
+// which costs reduction, never soundness.
+func (h *groupHasher) encodeRelabeled(sys *machine.System, beta []view.ID, words []uint64, ends []int) ([]uint64, []int, bool) {
+	for g := 0; g < h.m; g++ {
+		wr, ok := sys.Mem.CellAt(g).(WordRelabeler)
+		if !ok {
+			return words, ends, false
 		}
+		words = wr.EncodeRelabeled(words, beta)
+		ends = append(ends, len(words))
 	}
-	fp := uint64(fnvOffset64)
+	for _, mach := range sys.Procs {
+		// β ≠ id is only admitted when every machine is Relabelable.
+		words = mach.(Relabelable).EncodeRelabeled(words, beta)
+		ends = append(ends, len(words))
+	}
+	return words, ends, true
+}
+
+// hashUnder hashes the mirror of a state under one element, in the
+// layout of the identity hash: registers in global order, machines in
+// processor order, then the mirrored crash mask. The state's registers
+// and machines are already encoded in words, item i spanning
+// words[ends[i-1]:ends[i]] (item 0 starts at start); registers come
+// first.
+func (h *groupHasher) hashUnder(e *element, words []uint64, ends []int, start int, mask uint64) uint64 {
+	span := func(i int) []uint64 {
+		lo := start
+		if i > 0 {
+			lo = ends[i-1]
+		}
+		return words[lo:ends[i]]
+	}
+	fp := uint64(hashInit)
 	for g := 0; g < h.m; g++ {
 		src := g
 		if e.regInv != nil {
 			src = e.regInv[g]
 		}
-		w := sys.Mem.CellAt(src)
-		if relabel == nil {
-			fp = fnvString(fp, w.Key())
-		} else if wr, ok := w.(WordRelabeler); ok {
-			fp = fnvString(fp, wr.RelabelKey(relabel))
-		} else {
-			return 0, false
-		}
+		fp = hashWords(fp, span(src))
 	}
 	for _, p := range e.procInv {
-		mach := sys.Procs[p]
-		if relabel == nil {
-			fp = fnvString(fp, mach.StateKey())
-		} else {
-			// β ≠ id is only admitted when every machine is Relabelable.
-			fp = fnvString(fp, mach.(Relabelable).RelabelStateKey(relabel))
-		}
+		fp = hashWords(fp, span(h.m+p))
 	}
-	mask := sys.CrashMask()
 	if mask != 0 {
 		var mirrored uint64
 		for q, p := range e.procInv {
@@ -273,5 +301,5 @@ func (h *groupHasher) hashUnder(sys *machine.System, e *element) (uint64, bool) 
 		}
 		mask = mirrored
 	}
-	return mixCrash(fp, mask), true
+	return hashFinish(hashWord(fp, mask))
 }

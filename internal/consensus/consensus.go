@@ -36,6 +36,9 @@ type Decision string
 // Key implements anonmem.Word.
 func (d Decision) Key() string { return string(d) }
 
+// Encode implements anonmem.Word.
+func (d Decision) Encode(dst []uint64) []uint64 { return anonmem.AppendString(dst, string(d)) }
+
 var _ anonmem.Word = Decision("")
 
 // pairSep separates value and timestamp in interned snapshot inputs. Value
@@ -201,6 +204,24 @@ func (c *Consensus) StateKey() string {
 		return "cs:o:" + c.decision
 	default:
 		return "cs:" + c.pref + ":" + strconv.Itoa(c.ts) + ":" + c.snap.StateKey()
+	}
+}
+
+// consensusTag opens a Consensus encoding, as "cs:" opens its StateKey.
+const consensusTag = 'c'<<8 | 's'
+
+// Encode implements machine.Machine: the tag and a phase word (0 while
+// running, 'o' with the decision pending output, 'd' when done), then
+// the decision, or the preference, timestamp and embedded snapshot.
+func (c *Consensus) Encode(dst []uint64) []uint64 {
+	switch {
+	case c.done:
+		return anonmem.AppendString(append(dst, consensusTag, 'd'), c.decision)
+	case c.ready:
+		return anonmem.AppendString(append(dst, consensusTag, 'o'), c.decision)
+	default:
+		dst = anonmem.AppendString(append(dst, consensusTag, 0), c.pref)
+		return c.snap.Encode(append(dst, uint64(c.ts)))
 	}
 }
 

@@ -45,11 +45,18 @@ func (c Cell) Key() string {
 
 var _ anonmem.Word = Cell{}
 
-// RelabelKey returns the Key the cell would have if every input ID in
-// its view were replaced via relabel. It implements the register-word
-// half of the symmetry-reduction contract (canon.WordRelabeler).
-func (c Cell) RelabelKey(relabel func(view.ID) view.ID) string {
-	return Cell{View: c.View.Relabel(relabel), Level: c.Level}.Key()
+// Encode implements anonmem.Word: the length-prefixed view, then the
+// level.
+func (c Cell) Encode(dst []uint64) []uint64 {
+	return append(c.View.Encode(dst), uint64(c.Level))
+}
+
+// EncodeRelabeled appends the Encode the cell would have if every input
+// ID in its view were replaced via beta (identity past its length). It
+// implements the register-word half of the symmetry-reduction contract
+// (canon.WordRelabeler).
+func (c Cell) EncodeRelabeled(dst []uint64, beta []view.ID) []uint64 {
+	return append(c.View.EncodeRelabeled(dst, beta), uint64(c.Level))
 }
 
 // Viewer is implemented by machines that maintain a view; analyses (stable

@@ -296,11 +296,18 @@ func (s *Snapshot) StateKey() string {
 	return sb.String()
 }
 
+// snapTag opens a Snapshot encoding, as "sn:" opens its StateKey.
+const snapTag = 's'<<8 | 'n'
+
+// Encode implements machine.Machine: the tag, the view, level and
+// unwritten mask, then the phase and the fields StateKey renders for it.
+func (s *Snapshot) Encode(dst []uint64) []uint64 { return s.EncodeRelabeled(dst, nil) }
+
 // SymmetryClass identifies the machine's program and parameters for the
 // symmetry-reduction layer (canon.Symmetric): two snapshot machines with
 // equal class run the same algorithm and may be exchanged by a processor
 // permutation. The input is deliberately absent — the machine is
-// value-oblivious and supports relabeling instead (see RelabelStateKey).
+// value-oblivious and supports relabeling instead (see EncodeRelabeled).
 func (s *Snapshot) SymmetryClass() string {
 	class := "sn:l" + strconv.Itoa(s.n) + ":m" + strconv.Itoa(s.m)
 	if s.nondet {
@@ -313,14 +320,22 @@ func (s *Snapshot) SymmetryClass() string {
 // symmetry layer's value relabeling (canon.Relabelable).
 func (s *Snapshot) InputID() view.ID { return s.input }
 
-// RelabelStateKey returns the StateKey the machine would have if every
-// input ID in its state were replaced via relabel. Figure 3 manipulates
-// views only through Equal/Union/level arithmetic, so relabeled states
-// step in lockstep with the originals (canon.Relabelable).
-func (s *Snapshot) RelabelStateKey(relabel func(view.ID) view.ID) string {
-	cp := *s
-	cp.v = s.v.Relabel(relabel)
-	cp.acc = s.acc.Relabel(relabel)
-	cp.out = s.out.Relabel(relabel)
-	return cp.StateKey()
+// EncodeRelabeled appends the Encode the machine would have if every
+// input ID in its state were replaced via beta (identity past its
+// length). Figure 3 manipulates views only through Equal/Union/level
+// arithmetic, so relabeled states step in lockstep with the originals
+// (canon.Relabelable).
+func (s *Snapshot) EncodeRelabeled(dst []uint64, beta []view.ID) []uint64 {
+	dst = append(dst, snapTag)
+	dst = s.v.EncodeRelabeled(dst, beta)
+	dst = append(dst, uint64(s.level), s.unwritten, uint64(s.phase))
+	switch s.phase {
+	case snapScan:
+		dst = append(dst, uint64(s.scanIdx))
+		dst = s.acc.EncodeRelabeled(dst, beta)
+		dst = append(dst, uint64(s.minLevel), boolWord(s.eqAll))
+	case snapDone:
+		dst = s.out.EncodeRelabeled(dst, beta)
+	}
+	return dst
 }

@@ -312,7 +312,8 @@ func TestSnapshotPanics(t *testing.T) {
 
 type badWord struct{}
 
-func (badWord) Key() string { return "bad" }
+func (badWord) Key() string                  { return "bad" }
+func (badWord) Encode(dst []uint64) []uint64 { return dst }
 
 func TestSnapshotInvokeLongLived(t *testing.T) {
 	// Two processors, each invoked twice with fresh inputs. All four

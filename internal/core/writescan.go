@@ -186,6 +186,13 @@ func (w *WriteScan) StateKey() string {
 	return sb.String()
 }
 
+// writeScanTag opens a WriteScan encoding, as "ws:" opens its StateKey.
+const writeScanTag = 'w'<<8 | 's'
+
+// Encode implements machine.Machine: the tag, the view and unwritten
+// mask, the phase and, mid-scan, the scan index and accumulated view.
+func (w *WriteScan) Encode(dst []uint64) []uint64 { return w.EncodeRelabeled(dst, nil) }
+
 // SymmetryClass identifies the machine's program and parameters for the
 // symmetry-reduction layer (canon.Symmetric). Like the snapshot machine,
 // the write-scan loop is value-oblivious, so the input is absent and
@@ -201,11 +208,24 @@ func (w *WriteScan) SymmetryClass() string {
 // InputID returns the machine's input (canon.Relabelable).
 func (w *WriteScan) InputID() view.ID { return w.input }
 
-// RelabelStateKey returns the StateKey the machine would have if every
-// input ID in its state were replaced via relabel (canon.Relabelable).
-func (w *WriteScan) RelabelStateKey(relabel func(view.ID) view.ID) string {
-	cp := *w
-	cp.v = w.v.Relabel(relabel)
-	cp.acc = w.acc.Relabel(relabel)
-	return cp.StateKey()
+// EncodeRelabeled appends the Encode the machine would have if every
+// input ID in its state were replaced via beta (identity past its
+// length; canon.Relabelable).
+func (w *WriteScan) EncodeRelabeled(dst []uint64, beta []view.ID) []uint64 {
+	dst = append(dst, writeScanTag)
+	dst = w.v.EncodeRelabeled(dst, beta)
+	dst = append(dst, w.unwritten, uint64(w.phase))
+	if w.phase == phaseScan {
+		dst = append(dst, uint64(w.scanIdx))
+		dst = w.acc.EncodeRelabeled(dst, beta)
+	}
+	return dst
+}
+
+// boolWord encodes a flag as one word.
+func boolWord(b bool) uint64 {
+	if b {
+		return 1
+	}
+	return 0
 }

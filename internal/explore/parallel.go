@@ -45,7 +45,8 @@ import (
 //
 // Cancellation and checkpoints. Invariant violations, step errors and
 // the state bound set a stop flag that every worker checks between
-// successor generations, so all workers quit promptly. The first
+// successor generations, so all workers quit promptly; none of them is
+// resumable, so abandoning an expansion half done loses nothing. The first
 // invariant violation wins; its counterexample trace is rebuilt after
 // the workers have joined, from per-worker append-only parent logs (node
 // ids pack worker and log index into an int64, so the logs need no
@@ -53,8 +54,10 @@ import (
 // barrier: the worker whose discovery makes a checkpoint due raises a
 // flag, every worker parks at its loop top (no expansion in flight), and
 // the last one to park snapshots the visited set and all frontier shards
-// before releasing the others. Options.Cancel sets the stop flag; the
-// final checkpoint is then written after the join.
+// before releasing the others. Options.Cancel instead sets the canceled
+// flag, which workers check only between expansions: an expansion in
+// flight always queues all of its successors, so the final checkpoint,
+// written after the join, holds every popped entry's successors.
 
 // maxParallelWorkers bounds Options.Workers so node ids can pack the
 // worker index into the top 16 bits of an int64.
@@ -97,8 +100,8 @@ type parRun struct {
 	pending   atomic.Int64 // queued or in-expansion states
 	peak      atomic.Int64 // high-water mark of pending
 	truncated atomic.Bool
-	stop      atomic.Bool
-	canceled  atomic.Bool
+	stop      atomic.Bool // abort mid-expansion: violation, error or bound
+	canceled  atomic.Bool // Options.Cancel fired: finish expansions, then exit
 
 	failMu     sync.Mutex
 	stepErr    error // first non-invariant failure
@@ -236,13 +239,12 @@ func (p *parRun) work(w int) {
 	self := &p.workers[w]
 	idle := 0
 	for {
-		if p.stop.Load() {
+		if p.stop.Load() || p.canceled.Load() {
 			return
 		}
 		p.maybePause()
 		if canceled(&p.opts) {
 			p.canceled.Store(true)
-			p.stop.Store(true)
 			return
 		}
 		e, ok, err := self.fr.Pop()

@@ -1,12 +1,18 @@
 package explore
 
 import (
+	"encoding/json"
 	"errors"
+	"os"
+	"path/filepath"
+	"runtime"
+	"strings"
 	"sync"
 	"testing"
 
 	"anonshm/internal/canon"
 	"anonshm/internal/core"
+	"anonshm/internal/machine"
 	"anonshm/internal/store"
 )
 
@@ -141,30 +147,87 @@ func TestKillAndResume(t *testing.T) {
 				if ref.States < 200 {
 					t.Fatalf("reference run too small to kill mid-flight: %d states", ref.States)
 				}
-
-				dir := t.TempDir()
-				killed := opts
-				killed.Checkpoint = dir
-				killed.CheckpointEvery = 50
-				killed.ProgressEvery = 1
-				killed.Cancel, killed.Progress = cancelAfter(ref.States / 2)
-				if _, err := Run(sys.Clone(), killed); !errors.Is(err, ErrCanceled) {
-					t.Fatalf("killed run: err = %v, want ErrCanceled", err)
+				// The parallel engine's cancel races only open when
+				// workers truly run at once, so it is pinned to one core
+				// and to two.
+				procs := []int{runtime.GOMAXPROCS(0)}
+				if engine == ParallelEngine {
+					procs = []int{1, 2}
 				}
-
-				resumed := opts
-				resumed.Resume = dir
-				resumed.Checkpoint = dir
-				resumed.CheckpointEvery = 50
-				got, err := Run(sys.Clone(), resumed)
-				if err != nil {
-					t.Fatalf("resumed run: %v", err)
-				}
-				if keyOf(got) != keyOf(ref) {
-					t.Errorf("resumed %+v, uninterrupted %+v", keyOf(got), keyOf(ref))
+				for _, n := range procs {
+					old := runtime.GOMAXPROCS(n)
+					killAndResume(t, sys, opts, ref)
+					runtime.GOMAXPROCS(old)
 				}
 			})
 		}
+	}
+}
+
+// killAndResume cancels a checkpointed run halfway, resumes it, and
+// checks the resumed totals against the uninterrupted reference.
+func killAndResume(t *testing.T, sys *machine.System, opts Options, ref Result) {
+	t.Helper()
+	dir := t.TempDir()
+	killed := opts
+	killed.Checkpoint = dir
+	killed.CheckpointEvery = 50
+	killed.ProgressEvery = 1
+	killed.Cancel, killed.Progress = cancelAfter(ref.States / 2)
+	if _, err := Run(sys.Clone(), killed); !errors.Is(err, ErrCanceled) {
+		t.Fatalf("GOMAXPROCS=%d: killed run: err = %v, want ErrCanceled", runtime.GOMAXPROCS(0), err)
+	}
+
+	resumed := opts
+	resumed.Resume = dir
+	resumed.Checkpoint = dir
+	resumed.CheckpointEvery = 50
+	got, err := Run(sys.Clone(), resumed)
+	if err != nil {
+		t.Fatalf("GOMAXPROCS=%d: resumed run: %v", runtime.GOMAXPROCS(0), err)
+	}
+	if keyOf(got) != keyOf(ref) {
+		t.Errorf("GOMAXPROCS=%d: resumed %+v, uninterrupted %+v", runtime.GOMAXPROCS(0), keyOf(got), keyOf(ref))
+	}
+}
+
+// TestResumeRejectsVersion1Checkpoint: fingerprints changed encoding in
+// checkpoint format 2, so a format-1 checkpoint must be refused with the
+// format-version error rather than resumed against incomparable
+// fingerprints.
+func TestResumeRejectsVersion1Checkpoint(t *testing.T) {
+	sys, _, err := core.NewSnapshotSystem(core.Config{Inputs: []string{"a", "b"}, Nondet: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	opts := Options{Engine: ParallelEngine, Workers: 1, Checkpoint: dir, CheckpointEvery: 50, ProgressEvery: 1}
+	opts.Cancel, opts.Progress = cancelAfter(200)
+	if _, err := Run(sys.Clone(), opts); !errors.Is(err, ErrCanceled) {
+		t.Fatalf("killed run: err = %v, want ErrCanceled", err)
+	}
+	metaPath := filepath.Join(dir, "meta.json")
+	blob, err := os.ReadFile(metaPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var meta map[string]any
+	if err := json.Unmarshal(blob, &meta); err != nil {
+		t.Fatal(err)
+	}
+	if meta["version"] != float64(store.MetaVersion) {
+		t.Fatalf("checkpoint version %v, want %d", meta["version"], store.MetaVersion)
+	}
+	meta["version"] = 1
+	if blob, err = json.Marshal(meta); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(metaPath, blob, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err = Run(sys.Clone(), Options{Engine: ParallelEngine, Workers: 1, Resume: dir})
+	if err == nil || !strings.Contains(err.Error(), "format version 1") {
+		t.Fatalf("resume of a version-1 checkpoint: err = %v, want the format-version error", err)
 	}
 }
 

@@ -40,7 +40,10 @@
 //     canonicalization output. Hashing identity into a fingerprint
 //     breaks orbit-invariance unless the value is mirrored with the
 //     symmetry group, which only the canon package may do (and must
-//     justify per call site).
+//     justify per call site);
+//   - an argument to a state-word encoder, a method Encode or
+//     EncodeRelabeled of shape func(dst []uint64, ...) []uint64: the
+//     machine and register-word encoders whose output fingerprints hash.
 //
 // Sanitizers: there are none. Identity laundering through arithmetic,
 // formatting or collections stays tainted; the only way to silence a
@@ -625,6 +628,16 @@ func (c *checker) callTaint(st *funcState, call *ast.CallExpr) *taintVal {
 		}
 	}
 
+	// Encoder sink: identity appended to the words a fingerprint hashes.
+	if fn != nil && isStateEncoder(fn) {
+		for i, t := range argTaints {
+			if t != nil {
+				c.sink(st, call.Args[i].Pos(),
+					extend(t, call.Args[i].Pos(), fmt.Sprintf("encoded into fingerprinted state words via %s", fn.Name())))
+			}
+		}
+	}
+
 	// In-package callee: use its summary.
 	if fn != nil {
 		if sum, ok := c.summaries[fn]; ok {
@@ -667,6 +680,24 @@ func (c *checker) callTaint(st *funcState, call *ast.CallExpr) *taintVal {
 		return extend(anyArg, call.Pos(), fmt.Sprintf("through call %s", calleeName(callee, call)))
 	}
 	return nil
+}
+
+// isStateEncoder reports whether fn is a state-word encoder — a method
+// named Encode or EncodeRelabeled of the append shape
+// func(dst []uint64, ...) []uint64 — whose output the canon layer
+// hashes into fingerprints. The shape keeps unrelated Encode methods
+// (JSON encoders, report writers) out of the sink set.
+func isStateEncoder(fn *types.Func) bool {
+	if fn.Name() != "Encode" && fn.Name() != "EncodeRelabeled" {
+		return false
+	}
+	sig := fn.Type().(*types.Signature)
+	if sig.Recv() == nil || sig.Params().Len() == 0 || sig.Results().Len() != 1 {
+		return false
+	}
+	words := types.NewSlice(types.Typ[types.Uint64])
+	return types.Identical(sig.Params().At(0).Type(), words) &&
+		types.Identical(sig.Results().At(0).Type(), words)
 }
 
 // applySummary propagates taint through an in-package call using the

@@ -86,3 +86,21 @@ func PerProcTable(m *M, in *sched.Instrument, p int) {
 func BuildFromWiring(mem *anonmem.Memory, p int) *M {
 	return &M{slot: mem.Global(p, 0)} // want `processor identity flows into machine-visible state: identity inspection Memory\.Global .* stored in machine field M\.slot`
 }
+
+// W is a register-word stub with a state-word encoder: what it appends
+// is hashed into fingerprints.
+type W struct{ bits uint64 }
+
+func (w W) Encode(dst []uint64) []uint64 { return append(dst, w.bits) }
+
+// tag launders ghost identity through arithmetic in a helper return.
+func tag(info machine.StepInfo) uint64 {
+	return uint64(info.PrevWriter)*2 + 1
+}
+
+// EncodeWriter seeds the encoder buffer with laundered identity before
+// the word appends its fields: identity reaches the fingerprinted words.
+func EncodeWriter(w W, info machine.StepInfo) []uint64 {
+	dst := []uint64{tag(info)}
+	return w.Encode(dst) // want `processor identity flows into machine-visible state: ghost identity StepInfo\.PrevWriter .* returned from tag .* encoded into fingerprinted state words via Encode`
+}

@@ -52,3 +52,27 @@ func Justified(m *M, info machine.StepInfo) {
 	//lint:ignore anonlint/taint fixture: mirrored jointly with the symmetry group, orbit-invariant by construction
 	m.slot = info.Proc
 }
+
+// W has a state-word encoder fed only identity-free data.
+type W struct{ bits uint64 }
+
+func (w W) Encode(dst []uint64) []uint64 { return append(dst, w.bits) }
+
+// EncodeClean encodes without identity in the buffer.
+func EncodeClean(w W, xs []int) []uint64 {
+	return w.Encode(make([]uint64, 0, len(xs)))
+}
+
+// report is an observer record with an Encode method of a different
+// shape (a serializer): identity flowing into it is not a state word.
+type report struct{ out []string }
+
+func (r *report) Encode(v any) error {
+	r.out = append(r.out, fmt.Sprint(v))
+	return nil
+}
+
+// SerializeObserver hands identity to a non-encoder Encode.
+func SerializeObserver(r *report, info machine.StepInfo) error {
+	return r.Encode(info.Proc)
+}

@@ -8,7 +8,7 @@
 // with the local computation that follows it (PlusCal executes everything
 // between two labels atomically). A single Machine implementation is reused
 // by the deterministic simulator, the adversarial schedulers, the
-// exhaustive explorer (which needs Clone and StateKey) and the goroutine
+// exhaustive explorer (which needs Clone and Encode) and the goroutine
 // runtime.
 package machine
 
@@ -104,9 +104,18 @@ type Machine interface {
 	// Clone returns an independent deep copy.
 	Clone() Machine
 
-	// StateKey returns a canonical encoding of the machine's local state,
-	// used by the explorer to deduplicate global states.
+	// StateKey returns a canonical string encoding of the machine's local
+	// state, for traces, System.Key and debugging.
 	StateKey() string
+
+	// Encode appends the machine's local state to dst as uint64 words
+	// and returns the extended slice. It encodes exactly the fields
+	// StateKey renders, self-delimiting (views and other variable-length
+	// parts are length-prefixed, phase-dependent fields follow a phase
+	// tag), so two machines of one program have equal encodings iff
+	// their StateKeys are equal. The explorer fingerprints states by
+	// hashing these words; Encode must not allocate beyond growing dst.
+	Encode(dst []uint64) []uint64
 }
 
 // StepInfo describes one executed step, for tracing and analyses.

@@ -10,7 +10,8 @@ import (
 
 type word string
 
-func (w word) Key() string { return string(w) }
+func (w word) Key() string                  { return string(w) }
+func (w word) Encode(dst []uint64) []uint64 { return anonmem.AppendString(dst, string(w)) }
 
 // echoMachine writes its tag to local register 0, reads local register 1,
 // then outputs what it read. It exercises all three op kinds.
@@ -62,6 +63,10 @@ func (m *echoMachine) StateKey() string {
 	return fmt.Sprintf("echo:%s:%d:%s", m.tag, m.pc, seen)
 }
 
+func (m *echoMachine) Encode(dst []uint64) []uint64 {
+	return anonmem.AppendString(dst, m.StateKey())
+}
+
 // brokenOutput claims an output op but never becomes Done.
 type brokenOutput struct{ stepped bool }
 
@@ -76,6 +81,9 @@ func (m *brokenOutput) Done() bool                { return false }
 func (m *brokenOutput) Output() anonmem.Word      { return nil }
 func (m *brokenOutput) Clone() Machine            { cp := *m; return &cp }
 func (m *brokenOutput) StateKey() string          { return "broken" }
+func (m *brokenOutput) Encode(dst []uint64) []uint64 {
+	return anonmem.AppendString(dst, m.StateKey())
+}
 
 func newEchoSystem(t *testing.T, perms [][]int) *System {
 	t.Helper()

@@ -31,6 +31,9 @@ type Name int
 // Key implements anonmem.Word.
 func (n Name) Key() string { return strconv.Itoa(int(n)) }
 
+// Encode implements anonmem.Word.
+func (n Name) Encode(dst []uint64) []uint64 { return append(dst, uint64(n)) }
+
 var _ anonmem.Word = Name(0)
 
 // NameFor computes the Bar-Noy–Dolev name for a snapshot W and a group
@@ -134,6 +137,23 @@ func (r *Renaming) StateKey() string {
 		return "rn:o:" + strconv.Itoa(r.name)
 	default:
 		return "rn:" + r.snap.StateKey()
+	}
+}
+
+// renamingTag opens a Renaming encoding, as "rn:" opens its StateKey.
+const renamingTag = 'r'<<8 | 'n'
+
+// Encode implements machine.Machine: the tag and a phase word (0 while
+// the snapshot runs, 'o' with the name pending output, 'd' when done),
+// then the name or the embedded snapshot's encoding.
+func (r *Renaming) Encode(dst []uint64) []uint64 {
+	switch {
+	case r.done:
+		return append(dst, renamingTag, 'd', uint64(r.name))
+	case r.ready:
+		return append(dst, renamingTag, 'o', uint64(r.name))
+	default:
+		return r.snap.Encode(append(dst, renamingTag, 0))
 	}
 }
 

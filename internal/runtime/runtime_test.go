@@ -15,7 +15,8 @@ import (
 
 type word string
 
-func (w word) Key() string { return string(w) }
+func (w word) Key() string                  { return string(w) }
+func (w word) Encode(dst []uint64) []uint64 { return anonmem.AppendString(dst, string(w)) }
 
 func TestSharedMemoryBasics(t *testing.T) {
 	sm, err := NewSharedMemory(2, word("init"), [][]int{{0, 1}, {1, 0}})

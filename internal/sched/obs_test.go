@@ -42,6 +42,9 @@ func (m *wrm) Output() anonmem.Word {
 }
 func (m *wrm) Clone() machine.Machine { cp := *m; return &cp }
 func (m *wrm) StateKey() string       { return string(m.tag) + string(rune('0'+m.pc)) }
+func (m *wrm) Encode(dst []uint64) []uint64 {
+	return anonmem.AppendString(dst, m.StateKey())
+}
 
 func runInstrumented(t *testing.T, reg *obs.Registry, sink *obs.Sink) *Instrument {
 	t.Helper()

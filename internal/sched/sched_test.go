@@ -10,7 +10,8 @@ import (
 
 type word string
 
-func (w word) Key() string { return string(w) }
+func (w word) Key() string                  { return string(w) }
+func (w word) Encode(dst []uint64) []uint64 { return anonmem.AppendString(dst, string(w)) }
 
 // counter takes `budget` write steps (each offering `fanout` register
 // choices) and then outputs how many steps it took.
@@ -56,6 +57,10 @@ func (c *counter) Clone() machine.Machine { cp := *c; return &cp }
 
 func (c *counter) StateKey() string {
 	return fmt.Sprintf("counter:%d/%d:%v", c.taken, c.budget, c.done)
+}
+
+func (c *counter) Encode(dst []uint64) []uint64 {
+	return anonmem.AppendString(dst, c.StateKey())
 }
 
 func newCounterSystem(t *testing.T, budgets []int, fanout int) *machine.System {

@@ -101,6 +101,10 @@ func (c *chooser) Clone() machine.Machine { cp := *c; return &cp }
 
 func (c *chooser) StateKey() string { return fmt.Sprintf("chooser:%d:%v", c.steps, c.done) }
 
+func (c *chooser) Encode(dst []uint64) []uint64 {
+	return anonmem.AppendString(dst, c.StateKey())
+}
+
 // TestCovererPicksDestructiveChoice is the regression test for the
 // choice-handling bug: Coverer.Next always returned choice 0, silently
 // ignoring pending nondeterministic alternatives, so a machine whose

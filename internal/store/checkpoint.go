@@ -23,8 +23,10 @@ import (
 // is rejected, not migrated.
 
 // MetaVersion is the checkpoint metadata version this build reads and
-// writes.
-const MetaVersion = 1
+// writes. Version 2 fingerprints hash state word encodings; version 1
+// hashed string keys, so its visited sets and root fingerprints mean
+// nothing to this build.
+const MetaVersion = 2
 
 const (
 	metaName     = "meta.json"

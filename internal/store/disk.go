@@ -317,7 +317,11 @@ func (v *diskVisited) runIter(r *fpRun) (*mergeIter, error) {
 	if err != nil {
 		return nil, fmt.Errorf("store: %w", err)
 	}
-	br := bufio.NewReaderSize(f, 1<<20)
+	br, err := fileReader(f)
+	if err != nil {
+		f.Close()
+		return nil, err
+	}
 	if _, err := readFileHeader(br, fpMagic); err != nil {
 		f.Close()
 		return nil, err

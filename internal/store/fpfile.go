@@ -31,6 +31,30 @@ const (
 	fpRecSize     = 12
 )
 
+// ioBufSize sizes the bufio buffer for n bytes of file data: all of it
+// when small, never more than 1 MiB. Small segments and runs — most
+// spills under a tight memory limit — then do not allocate and zero a
+// buffer many times their size.
+func ioBufSize(n int64) int {
+	const minBuf, maxBuf = 4 << 10, 1 << 20
+	switch {
+	case n < minBuf:
+		return minBuf
+	case n > maxBuf:
+		return maxBuf
+	}
+	return int(n)
+}
+
+// fileReader returns a reader over f buffered to f's size (ioBufSize).
+func fileReader(f *os.File) (*bufio.Reader, error) {
+	fi, err := f.Stat()
+	if err != nil {
+		return nil, fmt.Errorf("store: %w", err)
+	}
+	return bufio.NewReaderSize(f, ioBufSize(fi.Size())), nil
+}
+
 // fpRec is one visited record: a fingerprint and its minimum depth.
 type fpRec struct {
 	fp    uint64
@@ -79,7 +103,7 @@ func writeFPRun(path string, recs []fpRec) (int64, error) {
 	if err != nil {
 		return 0, fmt.Errorf("store: %w", err)
 	}
-	bw := bufio.NewWriterSize(f, 1<<20)
+	bw := bufio.NewWriterSize(f, ioBufSize(fpHeaderSize+int64(len(recs))*fpRecSize))
 	if err := writeFileHeader(bw, fpMagic, uint64(len(recs))); err != nil {
 		f.Close()
 		return 0, err
@@ -157,7 +181,10 @@ func readFPRun(path string, fn func(fpRec) error) error {
 		return fmt.Errorf("store: %w", err)
 	}
 	defer f.Close()
-	br := bufio.NewReaderSize(f, 1<<20)
+	br, err := fileReader(f)
+	if err != nil {
+		return err
+	}
 	count, err := readFileHeader(br, fpMagic)
 	if err != nil {
 		return err

@@ -30,7 +30,8 @@ func writeSegFile(path string, entries []Entry) (int64, error) {
 	if err != nil {
 		return 0, fmt.Errorf("store: %w", err)
 	}
-	cw := &countingWriter{w: bufio.NewWriterSize(f, 1<<20)}
+	// Paths are delta-encoded, so most entries take a few bytes.
+	cw := &countingWriter{w: bufio.NewWriterSize(f, ioBufSize(fpHeaderSize+16*int64(len(entries))))}
 	if err := writeFileHeader(cw, segMagic, uint64(len(entries))); err != nil {
 		f.Close()
 		return 0, err
@@ -91,7 +92,10 @@ func readSegFile(path string) ([]Entry, error) {
 		return nil, fmt.Errorf("store: %w", err)
 	}
 	defer f.Close()
-	br := bufio.NewReaderSize(f, 1<<20)
+	br, err := fileReader(f)
+	if err != nil {
+		return nil, err
+	}
 	count, err := readFileHeader(br, segMagic)
 	if err != nil {
 		return nil, err

@@ -11,7 +11,8 @@ import (
 
 type word string
 
-func (w word) Key() string { return string(w) }
+func (w word) Key() string                  { return string(w) }
+func (w word) Encode(dst []uint64) []uint64 { return anonmem.AppendString(dst, string(w)) }
 
 // pingpong writes its tag, reads register 0, then outputs.
 type pingpong struct {
@@ -41,6 +42,9 @@ func (m *pingpong) Output() anonmem.Word {
 }
 func (m *pingpong) Clone() machine.Machine { cp := *m; return &cp }
 func (m *pingpong) StateKey() string       { return string(m.tag) + string(rune('0'+m.pc)) }
+func (m *pingpong) Encode(dst []uint64) []uint64 {
+	return anonmem.AppendString(dst, m.StateKey())
+}
 
 func runPingpong(t *testing.T, rec *Recorder) *machine.System {
 	t.Helper()

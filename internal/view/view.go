@@ -190,17 +190,6 @@ func (v View) IDs() []ID {
 	return ids
 }
 
-// Relabel returns the image of v under f, which must be injective on the
-// members of v. The symmetry-reduction layer uses it to rewrite views
-// under a bijective renaming of input IDs.
-func (v View) Relabel(f func(ID) ID) View {
-	out := View{}
-	for _, id := range v.IDs() {
-		out = out.With(f(id))
-	}
-	return out
-}
-
 // Rank returns the 1-based position of id among the sorted members of v,
 // and whether id is a member at all. Rank is what the Bar-Noy–Dolev
 // renaming algorithm uses to pick a name inside a snapshot.
@@ -233,6 +222,55 @@ func (v View) Key() string {
 		sb.WriteString(strconv.FormatUint(v.bits[i], 16))
 	}
 	return sb.String()
+}
+
+// Encode appends v's word encoding to dst: the number of bit words,
+// then the normalized bit words least-significant first. The length
+// prefix makes the encoding self-delimiting, so a state encoder can
+// concatenate views with other fields and stay injective. It encodes
+// exactly what Key renders.
+func (v View) Encode(dst []uint64) []uint64 {
+	dst = append(dst, uint64(len(v.bits)))
+	return append(dst, v.bits...)
+}
+
+// EncodeRelabeled appends the Encode of v's image under the input-ID
+// relabeling beta: member id becomes beta[id] for id < len(beta) and
+// stays id past it. beta must permute 0..len(beta)-1 (the symmetry
+// layer's β); nil beta is the identity. The image is built bit by bit
+// straight into dst, so no View is allocated.
+func (v View) EncodeRelabeled(dst []uint64, beta []ID) []uint64 {
+	if beta == nil {
+		//lint:ignore anonlint/taint the "id" this flags is an interned input value (With's parameter), not a processor identity
+		return v.Encode(dst)
+	}
+	// beta permutes its domain and fixes everything past it, so the image
+	// never reaches beyond max(v's top word, beta's top word).
+	n := len(v.bits)
+	if bw := (len(beta) + wordBits - 1) / wordBits; bw > n && n > 0 {
+		n = bw
+	}
+	head := len(dst)
+	dst = append(dst, 0)
+	body := len(dst)
+	for i := 0; i < n; i++ {
+		dst = append(dst, 0)
+	}
+	for w, x := range v.bits {
+		for x != 0 {
+			id := ID(w*wordBits + bits.TrailingZeros64(x))
+			x &= x - 1
+			if int(id) < len(beta) {
+				id = beta[id]
+			}
+			dst[body+int(id)/wordBits] |= 1 << (uint(id) % wordBits)
+		}
+	}
+	for len(dst) > body && dst[len(dst)-1] == 0 {
+		dst = dst[:len(dst)-1]
+	}
+	dst[head] = uint64(len(dst) - body)
+	return dst
 }
 
 // String renders the raw IDs, e.g. "{0,2}". Use Format with an Interner to

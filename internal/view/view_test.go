@@ -319,3 +319,47 @@ func TestPropRankConsistent(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestEncodeMatchesKey: two views have equal word encodings iff their
+// keys are equal, and the length prefix delimits the encoding.
+func TestEncodeMatchesKey(t *testing.T) {
+	f := func(a, b View) bool {
+		ea, eb := a.Encode(nil), b.Encode(nil)
+		if int(ea[0]) != len(ea)-1 {
+			return false
+		}
+		return reflect.DeepEqual(ea, eb) == (a.Key() == b.Key())
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestEncodeRelabeled: the relabeled encoding equals the encoding of the
+// view rebuilt from relabeled IDs, for permutations of prefixes 0..k-1
+// shorter and longer than one word, and the view itself for nil β.
+func TestEncodeRelabeled(t *testing.T) {
+	r := rand.New(rand.NewSource(1))
+	for i := 0; i < 2000; i++ {
+		v := randomView(r)
+		beta := make([]ID, r.Intn(140))
+		for j, p := range r.Perm(len(beta)) {
+			beta[j] = ID(p)
+		}
+		var ids []ID
+		for _, id := range v.IDs() {
+			if int(id) < len(beta) {
+				id = beta[id]
+			}
+			ids = append(ids, id)
+		}
+		want := Of(ids...).Encode([]uint64{42})
+		got := v.EncodeRelabeled([]uint64{42}, beta)
+		if len(beta) == 0 {
+			got = v.EncodeRelabeled([]uint64{42}, nil)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("view %v under β %v: got %v, want %v", v, beta, got, want)
+		}
+	}
+}
