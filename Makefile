@@ -81,7 +81,6 @@ fuzz-smoke:
 # back with `go run ./cmd/figures -load BENCH_dfs.json`.
 bench-report:
 	$(GO) run ./cmd/anonexplore -check safety -inputs a,b -engine dfs -report BENCH_dfs.json
-	$(GO) run ./cmd/anonexplore -check safety -inputs a,b -engine bfs -report BENCH_bfs.json
 	$(GO) run ./cmd/anonexplore -check safety -inputs a,b -engine parallel -report BENCH_parallel.json
 	$(GO) run ./cmd/anonexplore -check waitfree -inputs a,b -crashes 1 -engine parallel -report BENCH_crash_parallel.json
 	$(GO) run ./cmd/anonexplore -check safety -inputs a,b -engine dfs -symmetry none -report BENCH_sym_none_n2.json

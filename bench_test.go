@@ -466,10 +466,12 @@ func runExploreBench(b *testing.B, sys *machine.System, opts explore.Options) {
 }
 
 // BenchmarkExploreSerial is the single-threaded reference for the
-// parallel engine: BFSEngine on the 3-processor snapshot subspace.
+// parallel engine: DFSEngine on the 3-processor snapshot subspace.
+// (BenchmarkExploreParallel/workers=1 is the serial breadth-first
+// search.)
 func BenchmarkExploreSerial(b *testing.B) {
 	sys, opts := exploreBenchCase(b)
-	opts.Engine = explore.BFSEngine
+	opts.Engine = explore.DFSEngine
 	runExploreBench(b, sys, opts)
 }
 

@@ -2,9 +2,10 @@
 // every interleaving (and optionally every wiring), replacing the TLC
 // model checker used in the paper.
 //
-// The search backend is selectable: -engine bfs|dfs|parallel picks the
-// explorer engine (dfs by default — smallest memory footprint), and
-// -workers sets the parallel engine's worker count (0 = all cores).
+// The search backend is selectable: -engine dfs|parallel picks the
+// explorer engine (dfs by default — smallest memory footprint, with
+// inline cycle detection), and -workers sets the parallel engine's
+// worker count (0 = all cores; 1 = a serial breadth-first search).
 //
 // Symmetry reduction: -wirings all|proc0|orbits picks how the wiring
 // sweep is cut down (proc0 pins processor 0's wiring to the identity;
@@ -128,7 +129,7 @@ func main() {
 		stallAfter = flag.Duration("stall-after", 0, "watchdog: diagnose a stall after this long with no discovered state, dumping pprof profiles (0 = off)")
 		stallAbort = flag.Bool("stall-abort", false, "abort a stalled run with exit code 5 (requires -stall-after)")
 	)
-	flag.Var(&engine, "engine", "explorer engine: auto | bfs | dfs | parallel")
+	flag.Var(&engine, "engine", "explorer engine: dfs (default) | parallel")
 	flag.Var(&wirings, "wirings", "wiring sweep filter: all | proc0 | orbits")
 	flag.Var(&symmetry, "symmetry", "state canonicalizer: none | proc | full")
 	flag.Var(&storeKind, "store", "state store tier: mem | disk")

@@ -103,9 +103,8 @@ type SnapshotConfig struct {
 	SoloBound int
 	// Traces keeps counterexample traces (memory-heavy on large runs).
 	Traces bool
-	// Engine selects the search backend; AutoEngine resolves to
-	// DFSEngine here (the sweeps' historical default, chosen for its
-	// memory profile on ~10⁸-state spaces).
+	// Engine selects the search backend (the zero value is DFSEngine,
+	// chosen for its memory profile on ~10⁸-state spaces).
 	Engine Engine
 	// Workers is the ParallelEngine worker count (0 = GOMAXPROCS).
 	Workers int
@@ -157,18 +156,10 @@ type SnapshotConfig struct {
 	Cancel <-chan struct{}
 }
 
-// engine resolves the configured engine, defaulting to DFS.
-func (c SnapshotConfig) engine() Engine {
-	if c.Engine == AutoEngine {
-		return DFSEngine
-	}
-	return c.Engine
-}
-
 // options assembles the per-wiring exploration options.
 func (c SnapshotConfig) options() Options {
 	return Options{
-		Engine:        c.engine(),
+		Engine:        c.Engine,
 		Workers:       c.Workers,
 		MaxStates:     c.MaxStates,
 		MaxCrashes:    c.MaxCrashes,
@@ -228,35 +219,28 @@ func CheckSnapshotSafety(c SnapshotConfig) (SweepResult, error) {
 }
 
 // CheckSnapshotWaitFree exhaustively verifies wait-freedom over every
-// wiring assignment, in two complementary forms. Every engine checks the
+// wiring assignment, in two complementary forms. Both engines check the
 // WaitFree solo-bound invariant on every reachable state (bound: SoloBound
 // or DefaultSoloBound): each enabled processor must finish within the
 // budget when it runs alone, which is the property crash faults attack —
 // explore with MaxCrashes = N−1 to quantify over every crash pattern.
-// Engines with cycle capabilities (DFSEngine inline, BFSEngine via the
-// step graph) additionally verify the reachable step graph is acyclic, the
-// stronger guarantee that no adversarial interleaving runs forever;
-// ParallelEngine runs the invariant form only. So does BFSEngine on the
-// disk store or under checkpointing: the step graph pins every state in
-// RAM and has no serialized form, which is exactly what those modes
-// exist to avoid (DFS cycle detection is unaffected — it rides the
-// recursion stack, which checkpoints carry).
+// DFSEngine additionally detects cycles inline, verifying the reachable
+// step graph is acyclic: the stronger guarantee that no adversarial
+// interleaving runs forever. It rides the recursion stack, which
+// checkpoints carry, so it holds on every store tier and across resumes.
+// ParallelEngine runs the invariant form only.
 func CheckSnapshotWaitFree(c SnapshotConfig) (SweepResult, error) {
 	var sweep SweepResult
-	caps := c.engine().Capabilities()
 	bound := c.SoloBound
 	if bound <= 0 {
 		bound = DefaultSoloBound(len(c.Inputs), registersFor(c))
 	}
-	trackGraph := caps.TrackGraph && !caps.CycleDetect &&
-		c.Store != store.Disk && c.Checkpoint == "" && c.Resume == ""
 	err := c.runSweep("waitfree", &sweep, func(perms [][]int, opts Options) (Result, error) {
 		sys, _, err := c.system(perms)
 		if err != nil {
 			return Result{}, err
 		}
 		opts.Invariant = WaitFree(bound)
-		opts.TrackGraph = trackGraph
 		res, err := Run(sys, opts)
 		if err != nil {
 			return res, err
@@ -264,11 +248,7 @@ func CheckSnapshotWaitFree(c SnapshotConfig) (SweepResult, error) {
 		if res.Truncated {
 			return res, fmt.Errorf("explore: truncated at %d states; wait-freedom not established", res.States)
 		}
-		cycle := res.Cycle
-		if opts.TrackGraph {
-			_, cycle = res.Graph.FindCycle()
-		}
-		if cycle {
+		if res.Cycle {
 			return res, fmt.Errorf("explore: wait-freedom violated under wiring %v: %s", perms, FormatTrace(res.CycleTrace))
 		}
 		return res, nil
@@ -491,7 +471,7 @@ type ConsensusConfig struct {
 	// and validity are safety properties, so they must hold in every crash
 	// pattern too.
 	MaxCrashes int
-	// Engine selects the search backend (AutoEngine = DFSEngine).
+	// Engine selects the search backend (the zero value is DFSEngine).
 	Engine Engine
 	// Workers is the ParallelEngine worker count (0 = GOMAXPROCS).
 	Workers int
@@ -571,12 +551,8 @@ func CheckConsensusBounded(c ConsensusConfig) (SweepResult, error) {
 			}
 			return false
 		}
-		engine := c.Engine
-		if engine == AutoEngine {
-			engine = DFSEngine
-		}
 		res, err := Run(sys, Options{
-			Engine:        engine,
+			Engine:        c.Engine,
 			Workers:       c.Workers,
 			MaxStates:     c.MaxStates,
 			MaxCrashes:    c.MaxCrashes,

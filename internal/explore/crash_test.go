@@ -35,11 +35,12 @@ func blockingSystem(t *testing.T, n int) *machine.System {
 	return sys
 }
 
-// TestCrashEngineEquivalence: with a crash budget, all three engines must
-// agree exactly on the reachable crash-augmented state space — states,
-// edges and terminals. This is the crash analogue of
-// TestParallelMatchesBFS and the in-repo form of the acceptance run
-// (anonexplore -check waitfree -crashes N-1 on every engine).
+// TestCrashEngineEquivalence: with a crash budget, DFS and the parallel
+// engine must agree exactly with the breadth-first reference on the
+// reachable crash-augmented state space — visited set, edges and
+// terminals. This is the crash analogue of TestParallelMatchesBFS and
+// the in-repo form of the acceptance run (anonexplore -check waitfree
+// -crashes N-1 on both engines).
 func TestCrashEngineEquivalence(t *testing.T) {
 	sys2, _, err := core.NewSnapshotSystem(core.Config{Inputs: []string{"a", "b"}, Nondet: true})
 	if err != nil {
@@ -75,14 +76,17 @@ func TestCrashEngineEquivalence(t *testing.T) {
 			if testing.Short() && c.prune != nil {
 				t.Skip("short mode: N=3 crash spaces take ~10s each")
 			}
-			ref, err := Run(c.sys.Clone(), Options{Engine: BFSEngine, MaxCrashes: c.crashes, Prune: c.prune})
+			opts := Options{MaxCrashes: c.crashes, Prune: c.prune}
+			ropts, rset := recordVisited(t, c.sys, bfsRun.with(opts))
+			ref, err := Run(c.sys.Clone(), ropts)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if ref.States == 0 || ref.Truncated {
 				t.Fatalf("degenerate reference run: %+v", ref)
 			}
-			noCrash, err := Run(c.sys.Clone(), Options{Engine: BFSEngine, Prune: c.prune})
+			want := keyOf(ref, rset).space()
+			noCrash, err := Run(c.sys.Clone(), bfsRun.with(Options{Prune: c.prune}))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -90,15 +94,14 @@ func TestCrashEngineEquivalence(t *testing.T) {
 				t.Errorf("crash exploration found %d states, failure-free %d: crash branches missing",
 					ref.States, noCrash.States)
 			}
-			for _, engine := range []Engine{DFSEngine, ParallelEngine} {
-				res, err := Run(c.sys.Clone(), Options{Engine: engine, MaxCrashes: c.crashes, Prune: c.prune, Workers: 4})
+			for _, r := range []engineRun{dfsRun, parallelRun} {
+				ropts, set := recordVisited(t, c.sys, r.with(opts))
+				res, err := Run(c.sys.Clone(), ropts)
 				if err != nil {
-					t.Fatalf("%v: %v", engine, err)
+					t.Fatalf("%s: %v", r.name, err)
 				}
-				if res.States != ref.States || res.Edges != ref.Edges || res.Terminals != ref.Terminals {
-					t.Errorf("%v: states=%d edges=%d terminals=%d, want %d/%d/%d",
-						engine, res.States, res.Edges, res.Terminals,
-						ref.States, ref.Edges, ref.Terminals)
+				if got := keyOf(res, set).space(); got != want {
+					t.Errorf("%s: %+v, want %+v", r.name, got, want)
 				}
 			}
 		})
@@ -125,7 +128,7 @@ func TestCrashTerminalsAreQuiescent(t *testing.T) {
 		}
 		return nil
 	}
-	if _, err := Run(sys.Clone(), Options{Engine: BFSEngine, MaxCrashes: 2, Invariant: inv}); err != nil {
+	if _, err := Run(sys.Clone(), bfsRun.with(Options{MaxCrashes: 2, Invariant: inv})); err != nil {
 		t.Fatal(err)
 	}
 	if !sawAllCrashed || !sawSurvivor {
@@ -134,8 +137,8 @@ func TestCrashTerminalsAreQuiescent(t *testing.T) {
 }
 
 // TestWaitFreeWithCrashes: the Figure 3 snapshot and Figure 4 renaming
-// algorithms stay wait-free with up to N−1 crash faults, on every engine,
-// with identical state counts across engines.
+// algorithms stay wait-free with up to N−1 crash faults, on every engine
+// configuration, with identical state counts across them.
 func TestWaitFreeWithCrashes(t *testing.T) {
 	c := SnapshotConfig{
 		Inputs:     []string{"a", "b"},
@@ -144,20 +147,20 @@ func TestWaitFreeWithCrashes(t *testing.T) {
 		MaxCrashes: 1,
 		Traces:     true,
 	}
-	states := map[Engine]int{}
-	for _, engine := range []Engine{BFSEngine, DFSEngine, ParallelEngine} {
+	states := map[string]int{}
+	for _, r := range engineRuns {
 		cfg := c
-		cfg.Engine = engine
+		cfg.Engine, cfg.Workers = r.engine, r.workers
 		sweep, err := CheckSnapshotWaitFree(cfg)
 		if err != nil {
-			t.Fatalf("%v: %v", engine, err)
+			t.Fatalf("%s: %v", r.name, err)
 		}
 		if sweep.TotalStates == 0 {
-			t.Fatalf("%v: empty sweep", engine)
+			t.Fatalf("%s: empty sweep", r.name)
 		}
-		states[engine] = sweep.TotalStates
+		states[r.name] = sweep.TotalStates
 	}
-	if states[DFSEngine] != states[BFSEngine] || states[ParallelEngine] != states[BFSEngine] {
+	if states["dfs"] != states["bfs"] || states["parallel"] != states["bfs"] {
 		t.Errorf("engines disagree on crash-augmented state counts: %v", states)
 	}
 
@@ -166,34 +169,32 @@ func TestWaitFreeWithCrashes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, engine := range []Engine{BFSEngine, DFSEngine, ParallelEngine} {
-		res, err := Run(renSys.Clone(), Options{
-			Engine:     engine,
+	for _, r := range engineRuns {
+		res, err := Run(renSys.Clone(), r.with(Options{
 			MaxCrashes: 1,
 			Invariant:  WaitFree(DefaultSoloBound(2, 2)),
-		})
+		}))
 		if err != nil {
-			t.Fatalf("renaming on %v: %v", engine, err)
+			t.Fatalf("renaming on %s: %v", r.name, err)
 		}
 		if res.Cycle {
-			t.Fatalf("renaming on %v: unexpected cycle", engine)
+			t.Fatalf("renaming on %s: unexpected cycle", r.name)
 		}
 	}
 }
 
 // TestBlockingFailsWaitFree: the blocking baseline is the negative
-// fixture — every engine must reject it with an *InvariantError whose
-// trace replays to the violating state.
+// fixture — every engine configuration must reject it with an
+// *InvariantError whose trace replays to the violating state.
 func TestBlockingFailsWaitFree(t *testing.T) {
-	for _, engine := range []Engine{BFSEngine, DFSEngine, ParallelEngine} {
-		t.Run(engine.String(), func(t *testing.T) {
+	for _, r := range engineRuns {
+		t.Run(r.name, func(t *testing.T) {
 			sys := blockingSystem(t, 2)
-			_, err := Run(sys.Clone(), Options{
-				Engine:     engine,
+			_, err := Run(sys.Clone(), r.with(Options{
 				MaxCrashes: 1,
 				Traces:     true,
 				Invariant:  WaitFree(DefaultSoloBound(2, 2)),
-			})
+			}))
 			var ie *InvariantError
 			if !errors.As(err, &ie) {
 				t.Fatalf("expected InvariantError, got %v", err)
@@ -226,8 +227,8 @@ func TestBlockingFailsWaitFree(t *testing.T) {
 }
 
 // TestBlockingCycleDetected: without the invariant, the blocking
-// baseline's solo scan loop shows up as a cycle for the engines that can
-// see one.
+// baseline's solo scan loop shows up as a cycle in DFS's inline
+// detection.
 func TestBlockingCycleDetected(t *testing.T) {
 	sys := blockingSystem(t, 2)
 	res, err := Run(sys.Clone(), Options{Engine: DFSEngine, Traces: true})
@@ -237,32 +238,24 @@ func TestBlockingCycleDetected(t *testing.T) {
 	if !res.Cycle {
 		t.Error("DFS missed the scan cycle")
 	}
-	res, err = Run(sys.Clone(), Options{Engine: BFSEngine, TrackGraph: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, cycle := res.Graph.FindCycle(); !cycle {
-		t.Error("BFS step graph missed the scan cycle")
-	}
 }
 
 // TestRootInvariantTrace is the regression test for the lost root trace:
 // when the initial state itself violates the invariant and Traces is set,
-// every engine must return an *InvariantError carrying the (empty but
-// non-nil) one-node trace, not a nil one.
+// every engine configuration must return an *InvariantError carrying the
+// (empty but non-nil) one-node trace, not a nil one.
 func TestRootInvariantTrace(t *testing.T) {
 	sys, _, err := core.NewSnapshotSystem(core.Config{Inputs: []string{"a", "b"}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	rootErr := errors.New("root is bad")
-	for _, engine := range []Engine{BFSEngine, DFSEngine, ParallelEngine} {
-		t.Run(engine.String(), func(t *testing.T) {
-			_, err := Run(sys.Clone(), Options{
-				Engine:    engine,
+	for _, r := range engineRuns {
+		t.Run(r.name, func(t *testing.T) {
+			_, err := Run(sys.Clone(), r.with(Options{
 				Traces:    true,
 				Invariant: func(n Node) error { return rootErr },
-			})
+			}))
 			var ie *InvariantError
 			if !errors.As(err, &ie) {
 				t.Fatalf("expected InvariantError, got %v", err)

@@ -7,8 +7,8 @@ import (
 	"anonshm/internal/store"
 )
 
-// DFS explores every reachable state of init depth-first. Compared to BFS
-// it keeps only the current path's systems alive (the visited set stores
+// DFS explores every reachable state of init depth-first. Compared to
+// the breadth-first ParallelEngine it keeps only the current path's systems alive (the visited set stores
 // 64-bit fingerprints), so it scales to the ~10⁸-state spaces of
 // three-processor snapshot systems on a laptop, reaches terminal states
 // early (which witness searches need), and detects cycles inline: a back
@@ -23,10 +23,8 @@ import (
 // resume replays the stack's steps from the root to rebuild the live
 // systems.
 //
-// Options.TrackGraph is not supported (Run rejects it with an
-// *UnsupportedOptionError; cycle detection is built in and sets
-// Result.Cycle); Options.Traces is free — counterexample traces come
-// straight off the DFS stack.
+// Cycle detection is built in and sets Result.Cycle; Options.Traces is
+// free — counterexample traces come straight off the DFS stack.
 func runDFS(init *machine.System, opts Options) (Result, error) {
 	maxStates := opts.MaxStates
 	visited := opts.visited

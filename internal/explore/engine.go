@@ -10,41 +10,30 @@ import (
 	"anonshm/internal/store"
 )
 
-// Engine selects the search backend used by Run. Engines share the state,
-// fingerprint and option model; they differ in visit order, memory
-// profile, parallelism and which optional features they can support (see
-// Capabilities).
+// Engine selects the search backend used by Run. Both engines share the
+// state, fingerprint, option and storage model; they differ in visit
+// order, memory profile and parallelism.
 type Engine uint8
 
 const (
-	// AutoEngine lets Run choose: currently BFSEngine, the most
-	// featureful serial engine. Package-level helpers that historically
-	// ran depth-first (the Check* sweeps) resolve AutoEngine to DFSEngine
-	// instead, preserving their memory profile.
-	AutoEngine Engine = iota
-	// BFSEngine is the serial breadth-first engine: visits states in
-	// minimal-depth order, can record the full step graph (TrackGraph)
-	// for offline cycle analysis, and keeps counterexample traces short.
-	BFSEngine
-	// DFSEngine is the serial depth-first engine: smallest memory
-	// footprint (only the current path's systems stay alive), reaches
-	// terminal states early, and detects cycles inline (Result.Cycle).
-	DFSEngine
+	// DFSEngine (the zero value) is the serial depth-first engine:
+	// smallest memory footprint (only the current path's systems stay
+	// alive), reaches terminal states early, and detects cycles inline
+	// (Result.Cycle).
+	DFSEngine Engine = iota
 	// ParallelEngine is the work-stealing parallel breadth-first engine:
 	// the frontier is sharded across Options.Workers goroutines and the
 	// visited set is a sharded lock-free-read fingerprint table, so
 	// throughput scales with cores. Invariant violations cancel all
-	// workers and still carry a counterexample trace.
+	// workers and still carry a counterexample trace. With Workers: 1 it
+	// is a serial breadth-first search: exact BFS depths and shortest
+	// counterexample traces.
 	ParallelEngine
 )
 
 // String implements fmt.Stringer.
 func (e Engine) String() string {
 	switch e {
-	case AutoEngine:
-		return "auto"
-	case BFSEngine:
-		return "bfs"
 	case DFSEngine:
 		return "dfs"
 	case ParallelEngine:
@@ -54,19 +43,16 @@ func (e Engine) String() string {
 	}
 }
 
-// ParseEngine converts a command-line engine name to an Engine.
+// ParseEngine converts a command-line engine name to an Engine; "" is
+// the zero value, DFSEngine.
 func ParseEngine(s string) (Engine, error) {
 	switch s {
-	case "", "auto":
-		return AutoEngine, nil
-	case "bfs":
-		return BFSEngine, nil
-	case "dfs":
+	case "", "dfs":
 		return DFSEngine, nil
 	case "parallel", "par":
 		return ParallelEngine, nil
 	default:
-		return AutoEngine, fmt.Errorf("explore: unknown engine %q (want auto, bfs, dfs or parallel)", s)
+		return DFSEngine, fmt.Errorf("explore: unknown engine %q (want dfs or parallel)", s)
 	}
 }
 
@@ -79,36 +65,6 @@ func (e *Engine) Set(s string) error {
 	}
 	*e = v
 	return nil
-}
-
-// Capabilities describes which optional features an engine supports. Run
-// validates Options against them up front, so feature/engine mismatches
-// are uniform *UnsupportedOptionError values instead of per-engine ad-hoc
-// errors.
-type Capabilities struct {
-	// TrackGraph: the engine can record the reachable step graph
-	// (Result.Graph) for offline analyses such as StateGraph.FindCycle.
-	TrackGraph bool
-	// CycleDetect: the engine detects cycles inline and sets
-	// Result.Cycle (and CycleTrace with Traces).
-	CycleDetect bool
-	// Traces: the engine can attach counterexample traces to invariant
-	// violations.
-	Traces bool
-	// Parallel: the engine uses multiple workers (Options.Workers).
-	Parallel bool
-}
-
-// Capabilities returns the feature set of the engine.
-func (e Engine) Capabilities() Capabilities {
-	switch e {
-	case DFSEngine:
-		return Capabilities{CycleDetect: true, Traces: true}
-	case ParallelEngine:
-		return Capabilities{Traces: true, Parallel: true}
-	default: // AutoEngine resolves to BFSEngine
-		return Capabilities{TrackGraph: true, Traces: true}
-	}
 }
 
 // UnsupportedOptionError reports an Options feature the selected engine
@@ -137,13 +93,13 @@ func (e *UnsupportedOptionError) Error() string {
 }
 
 // Run is the single entry point for exhaustive exploration: it validates
-// opts against the selected engine's capabilities and storage tier,
-// binds the store (visited set, frontier factory, checkpoint trigger),
-// dispatches, and fills Result.Stats. AutoEngine resolves to BFSEngine.
+// opts against the selected engine and storage tier, binds the store
+// (visited set, frontier factory, checkpoint trigger), dispatches, and
+// fills Result.Stats.
 func Run(init *machine.System, opts Options) (Result, error) {
 	engine := opts.Engine
-	if engine == AutoEngine {
-		engine = BFSEngine
+	if engine != DFSEngine && engine != ParallelEngine {
+		return Result{}, fmt.Errorf("explore: unknown engine %v", engine)
 	}
 	if err := validateOptions(engine, &opts); err != nil {
 		return Result{}, err
@@ -256,15 +212,10 @@ func Run(init *machine.System, opts Options) (Result, error) {
 	//lint:ignore anonlint/determinism wall time feeds only Stats (throughput reporting), never fingerprints, traces or state counts
 	start := time.Now()
 	var res Result
-	switch engine {
-	case BFSEngine:
-		res, err = runBFS(init, opts)
-	case DFSEngine:
-		res, err = runDFS(init, opts)
-	case ParallelEngine:
+	if engine == ParallelEngine {
 		res, err = runParallel(init, opts)
-	default:
-		return Result{}, fmt.Errorf("explore: unknown engine %v", opts.Engine)
+	} else {
+		res, err = runDFS(init, opts)
 	}
 	err = wd.stallError(err)
 	res.Stats.Engine = engine

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"strings"
 	"testing"
 
 	"anonshm/internal/core"
@@ -16,6 +17,31 @@ import (
 type engineCase struct {
 	sys  *machine.System
 	opts Options
+}
+
+// engineRun is one engine configuration the equivalence tests sweep.
+// "bfs" is ParallelEngine with a single worker: its one frontier shard is
+// a FIFO queue, so it searches in serial breadth-first order and yields
+// exact BFS depths and shortest counterexample traces — the
+// breadth-first reference.
+type engineRun struct {
+	name    string
+	engine  Engine
+	workers int
+}
+
+var (
+	bfsRun      = engineRun{"bfs", ParallelEngine, 1}
+	dfsRun      = engineRun{"dfs", DFSEngine, 0}
+	parallelRun = engineRun{"parallel", ParallelEngine, 4}
+	engineRuns  = []engineRun{bfsRun, dfsRun, parallelRun}
+)
+
+// with returns opts set to run on r.
+func (r engineRun) with(opts Options) Options {
+	opts.Engine = r.engine
+	opts.Workers = r.workers
+	return opts
 }
 
 // engineSystems builds the small systems the engine-equivalence tests run
@@ -57,14 +83,14 @@ func engineSystems(t *testing.T) map[string]engineCase {
 }
 
 // TestParallelMatchesBFS is the engine-equivalence test: on every small
-// system, ParallelEngine (at several worker counts) must visit exactly
-// the same number of states, edges and terminals as BFSEngine.
+// system, ParallelEngine at several worker counts must visit exactly the
+// states of the one-worker breadth-first reference — same visited set,
+// edges, terminals, pruned count and BFS MaxDepth.
 func TestParallelMatchesBFS(t *testing.T) {
 	for name, c := range engineSystems(t) {
 		sys := c.sys
 		t.Run(name, func(t *testing.T) {
-			ropts := c.opts
-			ropts.Engine = BFSEngine
+			ropts, rset := recordVisited(t, sys, bfsRun.with(c.opts))
 			ref, err := Run(sys.Clone(), ropts)
 			if err != nil {
 				t.Fatal(err)
@@ -72,32 +98,27 @@ func TestParallelMatchesBFS(t *testing.T) {
 			if ref.States == 0 || ref.Truncated {
 				t.Fatalf("degenerate reference run: %+v", ref)
 			}
-			for _, workers := range []int{1, 2, 4} {
+			want := keyOf(ref, rset)
+			for _, workers := range []int{2, 4} {
 				popts := c.opts
 				popts.Engine = ParallelEngine
 				popts.Workers = workers
+				popts, pset := recordVisited(t, sys, popts)
 				got, err := Run(sys.Clone(), popts)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if got.States != ref.States || got.Edges != ref.Edges || got.Terminals != ref.Terminals {
-					t.Errorf("workers=%d: states/edges/terminals %d/%d/%d, want %d/%d/%d",
-						workers, got.States, got.Edges, got.Terminals, ref.States, ref.Edges, ref.Terminals)
-				}
-				if got.Pruned != ref.Pruned {
-					t.Errorf("workers=%d: pruned %d, want %d", workers, got.Pruned, ref.Pruned)
-				}
-				if got.Truncated {
-					t.Errorf("workers=%d: unexpected truncation", workers)
+				if k := keyOf(got, pset); k != want {
+					t.Errorf("workers=%d: %+v, want %+v", workers, k, want)
 				}
 			}
 		})
 	}
 }
 
-// TestParallelMatchesDFSVerdicts: the three engines must agree on the
-// invariant verdict (violated or not) for a violated invariant, and the
-// parallel counterexample must be a real trace (replay-checked below).
+// TestParallelInvariantAgreesWithSerial: every engine configuration must
+// report a violated invariant with a counterexample trace (the parallel
+// trace is replay-checked below).
 func TestParallelInvariantAgreesWithSerial(t *testing.T) {
 	sys, _, err := core.NewSnapshotSystem(core.Config{Inputs: []string{"a", "b"}, Nondet: true})
 	if err != nil {
@@ -110,17 +131,17 @@ func TestParallelInvariantAgreesWithSerial(t *testing.T) {
 		}
 		return nil
 	}
-	for _, engine := range []Engine{BFSEngine, DFSEngine, ParallelEngine} {
-		_, err := Run(sys.Clone(), Options{Engine: engine, Workers: 4, Invariant: inv, Traces: true})
+	for _, r := range engineRuns {
+		_, err := Run(sys.Clone(), r.with(Options{Invariant: inv, Traces: true}))
 		var ie *InvariantError
 		if !errors.As(err, &ie) {
-			t.Fatalf("%v: expected InvariantError, got %v", engine, err)
+			t.Fatalf("%s: expected InvariantError, got %v", r.name, err)
 		}
 		if !errors.Is(err, boom) {
-			t.Errorf("%v: unwrap failed", engine)
+			t.Errorf("%s: unwrap failed", r.name)
 		}
 		if len(ie.Trace) == 0 {
-			t.Errorf("%v: empty counterexample trace", engine)
+			t.Errorf("%s: empty counterexample trace", r.name)
 		}
 	}
 }
@@ -196,52 +217,53 @@ func TestParallelStatsInternallyConsistent(t *testing.T) {
 	}
 }
 
-// TestSerialStatsRecorded checks the serial engines fill the same Stats
-// block.
+// TestSerialStatsRecorded checks the serial configurations (DFS and the
+// one-worker breadth-first reference) fill the same Stats block.
 func TestSerialStatsRecorded(t *testing.T) {
 	sys, _, err := core.NewSnapshotSystem(core.Config{Inputs: []string{"a", "b"}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, engine := range []Engine{BFSEngine, DFSEngine} {
-		res, err := Run(sys.Clone(), Options{Engine: engine})
+	for _, r := range []engineRun{bfsRun, dfsRun} {
+		res, err := Run(sys.Clone(), r.with(Options{}))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res.Stats.Engine != engine || res.Stats.Workers != 1 {
-			t.Errorf("%v: stats engine/workers = %v/%d", engine, res.Stats.Engine, res.Stats.Workers)
+		if res.Stats.Engine != r.engine || res.Stats.Workers != 1 {
+			t.Errorf("%s: stats engine/workers = %v/%d", r.name, res.Stats.Engine, res.Stats.Workers)
 		}
 		if len(res.Stats.WorkerSteps) != 1 || res.Stats.WorkerSteps[0] == 0 {
-			t.Errorf("%v: worker steps %v", engine, res.Stats.WorkerSteps)
+			t.Errorf("%s: worker steps %v", r.name, res.Stats.WorkerSteps)
 		}
 		if res.Stats.DedupLookups == 0 || res.Stats.DedupHits == 0 || res.Stats.DedupHitRate <= 0 {
-			t.Errorf("%v: dedup counters empty: %+v", engine, res.Stats)
+			t.Errorf("%s: dedup counters empty: %+v", r.name, res.Stats)
 		}
 		if res.Stats.FrontierPeak <= 0 || res.Stats.StatesPerSec <= 0 {
-			t.Errorf("%v: stats incomplete: %+v", engine, res.Stats)
+			t.Errorf("%s: stats incomplete: %+v", r.name, res.Stats)
 		}
 	}
 }
 
 // TestRunCapabilityChecks: option/engine mismatches are uniform
-// *UnsupportedOptionError values.
+// *UnsupportedOptionError values naming the engine, and an Engine value
+// outside the two engines is rejected before any search starts.
 func TestRunCapabilityChecks(t *testing.T) {
 	sys, _, err := core.NewSnapshotSystem(core.Config{Inputs: []string{"a"}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, engine := range []Engine{DFSEngine, ParallelEngine} {
-		_, err := Run(sys.Clone(), Options{Engine: engine, TrackGraph: true})
+		_, err := Run(sys.Clone(), Options{Engine: engine, Resume: "ck", Traces: true})
 		var ue *UnsupportedOptionError
 		if !errors.As(err, &ue) {
-			t.Fatalf("%v+TrackGraph: expected UnsupportedOptionError, got %v", engine, err)
+			t.Fatalf("%v+Resume+Traces: expected UnsupportedOptionError, got %v", engine, err)
 		}
-		if ue.Engine != engine || ue.Option != "TrackGraph" {
+		if ue.Engine != engine || ue.Store != "" || ue.Option != "Resume with Traces" {
 			t.Errorf("%v: error fields %+v", engine, ue)
 		}
 	}
-	if _, err := Run(sys.Clone(), Options{Engine: BFSEngine, TrackGraph: true}); err != nil {
-		t.Errorf("BFS+TrackGraph rejected: %v", err)
+	if _, err := Run(sys.Clone(), Options{Engine: ParallelEngine + 1}); err == nil || !strings.Contains(err.Error(), "unknown engine") {
+		t.Errorf("out-of-range engine: err = %v, want unknown engine", err)
 	}
 }
 
@@ -269,7 +291,7 @@ func TestParallelPruneMatchesSerial(t *testing.T) {
 		t.Fatal(err)
 	}
 	prune := func(n Node) bool { return n.Sys.DoneCount() > 0 }
-	ref, err := Run(sys.Clone(), Options{Engine: BFSEngine, Prune: prune})
+	ref, err := Run(sys.Clone(), bfsRun.with(Options{Prune: prune}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -282,22 +304,31 @@ func TestParallelPruneMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestParseEngine covers the flag-level engine names.
+// TestParseEngine covers the flag-level engine names: the two engines
+// parse, the empty string is the zero value (DFS), and the retired bfs
+// and auto names are rejected with an error naming the valid ones.
 func TestParseEngine(t *testing.T) {
 	for s, want := range map[string]Engine{
-		"": AutoEngine, "auto": AutoEngine, "bfs": BFSEngine,
-		"dfs": DFSEngine, "parallel": ParallelEngine, "par": ParallelEngine,
+		"": DFSEngine, "dfs": DFSEngine, "parallel": ParallelEngine, "par": ParallelEngine,
 	} {
 		got, err := ParseEngine(s)
 		if err != nil || got != want {
 			t.Errorf("ParseEngine(%q) = %v, %v", s, got, err)
 		}
 	}
-	if _, err := ParseEngine("bogus"); err == nil {
-		t.Error("bogus engine accepted")
+	for _, s := range []string{"bogus", "bfs", "auto"} {
+		_, err := ParseEngine(s)
+		if err == nil {
+			t.Errorf("engine %q accepted", s)
+			continue
+		}
+		if msg := err.Error(); !strings.Contains(msg, "dfs") || !strings.Contains(msg, "parallel") {
+			t.Errorf("ParseEngine(%q) error %q does not name dfs and parallel", s, msg)
+		}
 	}
-	if ParallelEngine.String() != "parallel" {
-		t.Errorf("String = %q", ParallelEngine)
+	var zero Engine
+	if zero != DFSEngine || DFSEngine.String() != "dfs" || ParallelEngine.String() != "parallel" {
+		t.Errorf("zero=%v, String = %q, %q", zero, DFSEngine, ParallelEngine)
 	}
 }
 
@@ -348,26 +379,25 @@ func TestChecksAcceptEngines(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, engine := range []Engine{BFSEngine, ParallelEngine} {
+	for _, r := range []engineRun{bfsRun, parallelRun} {
 		c := base
-		c.Engine = engine
-		c.Workers = 4
+		c.Engine, c.Workers = r.engine, r.workers
 		sweep, err := CheckSnapshotSafety(c)
 		if err != nil {
-			t.Fatalf("%v: %v", engine, err)
+			t.Fatalf("%s: %v", r.name, err)
 		}
 		if sweep.TotalStates != ref.TotalStates || sweep.TotalEdges != ref.TotalEdges || sweep.Terminals != ref.Terminals {
-			t.Errorf("%v: sweep %+v, want totals of %+v", engine, sweep, ref)
+			t.Errorf("%s: sweep %+v, want totals of %+v", r.name, sweep, ref)
 		}
-		if sweep.Stats.Engine != engine || sweep.Stats.WallTime <= 0 {
-			t.Errorf("%v: sweep stats not merged: %+v", engine, sweep.Stats)
+		if sweep.Stats.Engine != r.engine || sweep.Stats.WallTime <= 0 {
+			t.Errorf("%s: sweep stats not merged: %+v", r.name, sweep.Stats)
 		}
 	}
 
-	// Wait-freedom runs on every engine: DFS checks cycles inline, BFS
-	// via the step graph, and all three check the solo-bound invariant —
-	// which is all the parallel engine runs.
-	for _, engine := range []Engine{DFSEngine, BFSEngine, ParallelEngine} {
+	// Wait-freedom runs on both engines: DFS checks cycles inline, and
+	// both check the solo-bound invariant — which is all the parallel
+	// engine runs.
+	for _, engine := range []Engine{DFSEngine, ParallelEngine} {
 		c := base
 		c.Engine = engine
 		if _, err := CheckSnapshotWaitFree(c); err != nil {

@@ -4,23 +4,23 @@
 // processors.
 //
 // Run is the single entry point: Options.Engine selects a serial
-// breadth-first engine (BFSEngine), a serial depth-first engine
-// (DFSEngine), or a work-stealing parallel breadth-first engine
-// (ParallelEngine) that shards the frontier and the visited set across
-// Options.Workers goroutines. All engines search every interleaving of
-// processor steps (and, when machines expose it, every internal
-// register-choice alternative), deduplicating global states by 64-bit
-// fingerprint exactly as TLC does (the probability of a hash collision
-// masking a state is about states²/2⁶⁵ and is reported in
+// depth-first engine (DFSEngine, the zero value) or a work-stealing
+// parallel breadth-first engine (ParallelEngine) that shards the frontier
+// and the visited set across Options.Workers goroutines. Both engines
+// search every interleaving of processor steps (and, when machines expose
+// it, every internal register-choice alternative), deduplicating global
+// states by 64-bit fingerprint exactly as TLC does (the probability of a
+// hash collision masking a state is about states²/2⁶⁵ and is reported in
 // Result.CollisionOdds). On top of the raw search the package provides:
 //
 //   - invariant checking, optionally with counterexample traces (safety);
-//   - cycle detection over the reachable step graph, which for these
-//     finite-state systems is exactly wait-freedom: an infinite execution
-//     in a finite state space must revisit a state, and every step is
-//     taken by a non-terminated processor, so the algorithm is wait-free
-//     iff the reachable graph has no cycle (terminated-everyone states are
-//     sinks);
+//   - inline cycle detection on DFSEngine, which for these finite-state
+//     systems is exactly wait-freedom: an infinite execution in a finite
+//     state space must revisit a state, and every step is taken by a
+//     non-terminated processor, so the algorithm is wait-free iff the
+//     reachable graph has no cycle (terminated-everyone states are
+//     sinks); both engines also check the bounded solo-termination
+//     invariant (WaitFree);
 //   - a 64-bit auxiliary state folded into the fingerprint, used e.g. to
 //     search for the paper's non-atomicity witness (Section 8);
 //   - symmetry reduction: Options.Canonicalizer plugs an internal/canon
@@ -34,16 +34,9 @@
 //
 // Picking an engine:
 //
-//	engine          memory                      speed            graph  cycles  traces
-//	BFSEngine       frontier + fp set (+ graph) single-threaded  yes    via graph  yes (shortest)
-//	DFSEngine       stack + fp set (least)      single-threaded  no     inline     yes
-//	ParallelEngine  sharded fp set + frontiers  scales w/Workers no     no         yes
-//
-// AutoEngine (the zero value) resolves to BFSEngine in Run; the sweep
-// helpers in checks.go resolve it to DFSEngine to preserve their
-// historical memory profile. Requesting a capability an engine lacks
-// (e.g. Options.TrackGraph with ParallelEngine) returns an
-// *UnsupportedOptionError naming the engines that support it.
+//	engine          memory                      speed             cycles  traces
+//	DFSEngine       stack + fp set (least)      single-threaded   inline  yes
+//	ParallelEngine  sharded fp set + frontiers  scales w/Workers  no      yes (shortest at Workers: 1)
 //
 // Storage tiers. Every engine's visited set and frontier come from the
 // internal/store layer: Options.Store selects the fully-in-RAM mem tier
@@ -78,12 +71,11 @@ type Node struct {
 
 // Options configures an exploration.
 type Options struct {
-	// Engine selects the search backend (AutoEngine = BFSEngine). See
-	// the Engine constants for the trade-offs and Capabilities for which
-	// options each engine supports.
+	// Engine selects the search backend (the zero value is DFSEngine).
+	// See the Engine constants for the trade-offs.
 	Engine Engine
 	// Workers is the worker count for ParallelEngine (0 = GOMAXPROCS).
-	// Serial engines ignore it.
+	// DFSEngine ignores it.
 	Workers int
 	// MaxStates bounds the number of distinct states; exceeding it sets
 	// Result.Truncated instead of failing. Zero means DefaultMaxStates.
@@ -99,9 +91,6 @@ type Options struct {
 	// symmetric to one on the path (a genuine non-termination witness,
 	// since symmetry orbits are finite).
 	Canonicalizer canon.Canonicalizer
-	// hasher is the canonicalizer bound to the initial system; Run sets
-	// it before dispatching to an engine.
-	hasher canon.Hasher
 	// MaxCrashes explores the crash-stop fault model: in every state whose
 	// crash count is below the budget, each enabled processor may crash
 	// (machine.System.Crash) as an additional transition. With budget
@@ -118,8 +107,6 @@ type Options struct {
 	// memory ever held exactly view X"). The initial aux value is InitAux.
 	Aux     func(aux uint64, info machine.StepInfo, sys *machine.System) uint64
 	InitAux uint64
-	// TrackGraph records the adjacency structure for cycle detection.
-	TrackGraph bool
 	// Traces keeps parent pointers so invariant violations carry a full
 	// counterexample trace. Costs memory on large runs.
 	Traces bool
@@ -159,8 +146,8 @@ type Options struct {
 	// Store selects the state-storage tier: store.Mem (the default)
 	// keeps the visited set and frontier fully in RAM; store.Disk bounds
 	// RAM by MemLimit and spills fingerprint runs and frontier path
-	// segments to StoreDir. All engines run on either tier with
-	// identical state counts and verdicts (TrackGraph is mem-only).
+	// segments to StoreDir. Both engines run on either tier with
+	// identical state counts and verdicts.
 	Store store.Kind
 	// StoreDir is the disk tier's scratch directory ("" = a fresh temp
 	// directory, removed when the run ends). Mem rejects it.
@@ -170,14 +157,14 @@ type Options struct {
 	MemLimit store.Bytes
 	// Checkpoint, when non-empty, names a directory the engine
 	// atomically re-snapshots every CheckpointEvery discovered states
-	// (and on cancellation), for Resume. Incompatible with TrackGraph.
+	// (and on cancellation), for Resume.
 	Checkpoint      string
 	CheckpointEvery int
 	// Resume, when non-empty, loads a checkpoint directory written by a
 	// previous run and continues it; the engine, symmetry, system and
 	// crash budget must match what the checkpoint records
-	// (*CheckpointMismatchError otherwise). Incompatible with Traces and
-	// TrackGraph — counterexample structure is not persisted.
+	// (*CheckpointMismatchError otherwise). Incompatible with Traces —
+	// parent logs are not persisted.
 	Resume string
 	// Cancel, when non-nil, aborts the search once closed: the engine
 	// writes a final checkpoint (if Checkpoint is set) and returns
@@ -187,6 +174,7 @@ type Options struct {
 	// hasher is the canonicalizer bound to the initial system; st,
 	// visited, resume and ckpt are the storage layer Run binds before
 	// dispatching to an engine.
+	hasher  canon.Hasher
 	st      *store.Store
 	visited store.VisitedSet
 	resume  *store.Checkpoint
@@ -201,23 +189,20 @@ type Result struct {
 	States    int
 	Edges     int
 	Terminals int // states where every machine has terminated
-	// MaxDepth is the largest first-discovery depth. On the BFS-family
-	// engines (BFSEngine, ParallelEngine) it is the exact BFS
-	// eccentricity of the state graph: ParallelEngine min-merges the
-	// depths of racing discoveries in its visited set and propagates
-	// improvements with relax re-expansions, so the value is
-	// deterministic and equal to the serial BFS one. DFSEngine reports
-	// its (deterministic) depth-first discovery depth, which is an upper
+	// MaxDepth is the largest first-discovery depth. On ParallelEngine
+	// it is the exact BFS eccentricity of the state graph: the engine
+	// min-merges the depths of racing discoveries in its visited set and
+	// propagates improvements with relax re-expansions, so the value is
+	// deterministic at every worker count. DFSEngine reports its
+	// (deterministic) depth-first discovery depth, which is an upper
 	// bound. States, Edges and Terminals are exact and reproducible on
-	// every engine.
+	// both engines.
 	MaxDepth  int
 	Truncated bool
 	Pruned    int // states whose successors were cut by Options.Prune
 	// CollisionOdds estimates the probability that fingerprinting merged
 	// two distinct states: roughly states²/2⁶⁵.
 	CollisionOdds float64
-	// Graph is set when Options.TrackGraph was true (BFS only).
-	Graph *StateGraph
 	// Cycle reports that DFS found a back edge: an execution that
 	// revisits a global state — a wait-freedom violation for terminating
 	// algorithms. CycleTrace (with Options.Traces) reaches the revisited
@@ -243,330 +228,6 @@ func (e *InvariantError) Error() string {
 
 // Unwrap supports errors.Is/As.
 func (e *InvariantError) Unwrap() error { return e.Err }
-
-// StateGraph is the reachable step graph.
-type StateGraph struct {
-	adj      [][]int32
-	terminal []bool
-}
-
-// runBFS is the serial breadth-first engine behind Run. The frontier and
-// visited set come from the store layer Run bound into opts: on the mem
-// tier the discovery order, fingerprints and every counter are
-// bit-identical to the historical in-RAM queue (ids are assigned in the
-// same 0,1,2,... order, FrontierPeak is measured at the same point, and
-// the MaxStates bound cuts at the same expansion); on the disk tier the
-// frontier spills by path and the engine replays popped entries whose
-// systems were dropped.
-func runBFS(init *machine.System, opts Options) (Result, error) {
-	maxStates := opts.MaxStates
-	var res Result
-	visited := opts.visited
-	fr, err := opts.st.NewFrontier(0, store.FIFO)
-	if err != nil {
-		return res, fmt.Errorf("explore: %w", err)
-	}
-	defer fr.Close()
-	var parent []int32
-	var how []machine.StepInfo
-	var graph *StateGraph
-	var ids store.IDSet
-	if opts.TrackGraph {
-		var ok bool
-		if ids, ok = visited.(store.IDSet); !ok {
-			return res, fmt.Errorf("explore: internal: %s store cannot assign state ids", opts.st.Kind())
-		}
-		graph = &StateGraph{}
-		res.Graph = graph
-	}
-	// Entries need paths when the frontier may spill them (disk tier) or
-	// when checkpoints must persist them.
-	needPath := fr.NeedsPath() || opts.ckpt != nil
-
-	traceTo := func(i int64) []machine.StepInfo {
-		if !opts.Traces {
-			return nil
-		}
-		var rev []machine.StepInfo
-		for i > 0 {
-			rev = append(rev, how[i])
-			i = int64(parent[i])
-		}
-		out := make([]machine.StepInfo, len(rev))
-		for j := range rev {
-			out[j] = rev[len(rev)-1-j]
-		}
-		return out
-	}
-
-	states := int64(0)   // distinct states discovered (dense id source)
-	expanded := int64(0) // frontier entries popped
-
-	add := func(sys *machine.System, aux uint64, depth int32, from int64, info machine.StepInfo, path *store.PathNode) (int64, error) {
-		fp := opts.hasher.Fingerprint(sys, aux)
-		res.Stats.DedupLookups++
-		var id int64
-		var fresh bool
-		if ids != nil {
-			id, fresh = ids.InsertID(fp, depth)
-		} else {
-			f, _, err := visited.Insert(fp, depth)
-			if err != nil {
-				return 0, fmt.Errorf("explore: %w", err)
-			}
-			fresh, id = f, states
-		}
-		if !fresh {
-			res.Stats.DedupHits++
-			return id, nil
-		}
-		states++
-		if err := fr.Push(store.Entry{Sys: sys, Aux: aux, Depth: depth, Tag: id, Path: path}); err != nil {
-			return id, fmt.Errorf("explore: %w", err)
-		}
-		if opts.Traces {
-			parent = append(parent, int32(from))
-			how = append(how, info)
-		}
-		if graph != nil {
-			graph.adj = append(graph.adj, nil)
-			graph.terminal = append(graph.terminal, sys.Quiescent())
-		}
-		if int(depth) > res.MaxDepth {
-			res.MaxDepth = int(depth)
-		}
-		if sys.Quiescent() {
-			res.Terminals++
-		}
-		if opts.Invariant != nil {
-			if err := opts.Invariant(Node{Sys: sys, Aux: aux, Depth: int(depth)}); err != nil {
-				return id, &InvariantError{Err: err, Trace: traceTo(id)}
-			}
-		}
-		if opts.Progress != nil && opts.ProgressEvery > 0 && states%int64(opts.ProgressEvery) == 0 {
-			opts.Progress(int(states), res.Edges)
-		}
-		return id, nil
-	}
-
-	finish := func() Result {
-		res.States = int(states)
-		s := float64(states)
-		res.CollisionOdds = s * s / (2.0 * (1 << 63) * 2.0)
-		res.Stats.WorkerSteps = []int64{expanded}
-		return res
-	}
-
-	writeCkpt := func() error {
-		snap := make([]store.Entry, 0, fr.Len())
-		if err := fr.Snapshot(func(e store.Entry) error {
-			snap = append(snap, e)
-			return nil
-		}); err != nil {
-			return fmt.Errorf("explore: checkpoint: %w", err)
-		}
-		meta := store.Meta{
-			States: states, Edges: int64(res.Edges),
-			Terminals: int64(res.Terminals), Pruned: int64(res.Pruned),
-			MaxDepth:     int32(res.MaxDepth),
-			DedupLookups: res.Stats.DedupLookups, DedupHits: res.Stats.DedupHits,
-			FrontierPeak: res.Stats.FrontierPeak,
-			WorkerSteps:  []int64{expanded},
-		}
-		if err := opts.ckpt.write(meta, visited, snap, states); err != nil {
-			return fmt.Errorf("explore: checkpoint: %w", err)
-		}
-		return nil
-	}
-
-	if opts.resume != nil {
-		m := opts.resume.Meta
-		states = m.States
-		expanded = 0
-		if len(m.WorkerSteps) > 0 {
-			expanded = m.WorkerSteps[0]
-		}
-		res.Edges = int(m.Edges)
-		res.Terminals = int(m.Terminals)
-		res.Pruned = int(m.Pruned)
-		res.MaxDepth = int(m.MaxDepth)
-		res.Stats.DedupLookups = m.DedupLookups
-		res.Stats.DedupHits = m.DedupHits
-		res.Stats.FrontierPeak = m.FrontierPeak
-		entries, err := opts.resume.Frontier()
-		if err != nil {
-			return finish(), fmt.Errorf("explore: resume: %w", err)
-		}
-		for _, e := range entries {
-			if err := fr.Push(e); err != nil {
-				return finish(), fmt.Errorf("explore: resume: %w", err)
-			}
-		}
-	} else {
-		if _, err := add(init.Clone(), opts.InitAux, 0, -1, machine.StepInfo{}, nil); err != nil {
-			return finish(), err
-		}
-		res.Stats.FrontierPeak = 1
-	}
-
-	for {
-		if opts.ckpt.due(states) {
-			if err := writeCkpt(); err != nil {
-				return finish(), err
-			}
-		}
-		if canceled(&opts) {
-			if opts.ckpt != nil {
-				if err := writeCkpt(); err != nil {
-					return finish(), err
-				}
-			}
-			return finish(), ErrCanceled
-		}
-		if n := fr.Len(); n > res.Stats.FrontierPeak {
-			res.Stats.FrontierPeak = n
-		}
-		e, ok, err := fr.Pop()
-		if err != nil {
-			return finish(), fmt.Errorf("explore: %w", err)
-		}
-		if !ok {
-			break
-		}
-		expanded++
-		if states > int64(maxStates) {
-			res.Truncated = true
-			break
-		}
-		// Entries restored from a checkpoint into the mem tier carry only
-		// their path; the disk tier replays inside Pop.
-		if e.Sys == nil {
-			if err := opts.st.Replay(&e); err != nil {
-				return finish(), fmt.Errorf("explore: %w", err)
-			}
-		}
-		sys := e.Sys
-		if opts.Prune != nil && opts.Prune(Node{Sys: sys, Aux: e.Aux, Depth: int(e.Depth)}) {
-			res.Pruned++
-			continue
-		}
-		for p := 0; p < sys.N(); p++ {
-			if !sys.Enabled(p) {
-				continue
-			}
-			nChoices := len(sys.Procs[p].Pending())
-			for c := 0; c < nChoices; c++ {
-				succ := sys.Clone()
-				info, err := succ.Step(p, c)
-				if err != nil {
-					return finish(), fmt.Errorf("explore: %w", err)
-				}
-				aux := e.Aux
-				if opts.Aux != nil {
-					aux = opts.Aux(aux, info, succ)
-				}
-				var path *store.PathNode
-				if needPath {
-					path = e.Path.Extend(packStepInfo(info))
-				}
-				id, err := add(succ, aux, e.Depth+1, e.Tag, info, path)
-				if err != nil {
-					return finish(), err
-				}
-				res.Edges++
-				if graph != nil {
-					graph.adj[e.Tag] = append(graph.adj[e.Tag], int32(id))
-				}
-			}
-		}
-		if opts.MaxCrashes > 0 && sys.CrashCount() < opts.MaxCrashes {
-			for p := 0; p < sys.N(); p++ {
-				if !sys.Enabled(p) {
-					continue
-				}
-				succ := sys.Clone()
-				info, err := succ.Crash(p)
-				if err != nil {
-					return finish(), fmt.Errorf("explore: %w", err)
-				}
-				aux := e.Aux
-				if opts.Aux != nil {
-					aux = opts.Aux(aux, info, succ)
-				}
-				var path *store.PathNode
-				if needPath {
-					path = e.Path.Extend(packStepInfo(info))
-				}
-				id, err := add(succ, aux, e.Depth+1, e.Tag, info, path)
-				if err != nil {
-					return finish(), err
-				}
-				res.Edges++
-				if graph != nil {
-					graph.adj[e.Tag] = append(graph.adj[e.Tag], int32(id))
-				}
-			}
-		}
-	}
-	return finish(), nil
-}
-
-// FindCycle reports whether the graph contains a cycle and returns one
-// witness state index on it. A cycle means some execution revisits a
-// global state while non-terminated processors keep stepping — a
-// wait-freedom violation for algorithms whose processors must terminate.
-func (g *StateGraph) FindCycle() (int, bool) {
-	const (
-		white = iota
-		grey
-		black
-	)
-	color := make([]uint8, len(g.adj))
-	// Iterative DFS to survive deep graphs.
-	type frame struct {
-		node int32
-		next int
-	}
-	for start := range g.adj {
-		if color[start] != white {
-			continue
-		}
-		stack := []frame{{node: int32(start)}}
-		color[start] = grey
-		for len(stack) > 0 {
-			f := &stack[len(stack)-1]
-			if f.next < len(g.adj[f.node]) {
-				succ := g.adj[f.node][f.next]
-				f.next++
-				switch color[succ] {
-				case grey:
-					return int(succ), true
-				case white:
-					color[succ] = grey
-					stack = append(stack, frame{node: succ})
-				}
-				continue
-			}
-			color[f.node] = black
-			stack = stack[:len(stack)-1]
-		}
-	}
-	return 0, false
-}
-
-// Deadlocked returns states that are sinks but not terminal: some machine
-// is still running yet no step applies. This cannot happen for well-formed
-// machines (non-Done machines always have a pending op) and exists as a
-// sanity check on machine implementations.
-func (g *StateGraph) Deadlocked() []int {
-	var out []int
-	for i, succs := range g.adj {
-		if len(succs) == 0 && !g.terminal[i] {
-			out = append(out, i)
-		}
-	}
-	return out
-}
 
 // FormatTrace renders a counterexample trace compactly.
 func FormatTrace(trace []machine.StepInfo) string {

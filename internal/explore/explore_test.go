@@ -121,54 +121,23 @@ func TestWiringGroupsRestrictOrbits(t *testing.T) {
 	}
 }
 
-func TestForAllWiringsCompat(t *testing.T) {
-	// The deprecated wrapper maps canonical=true to FilterProc0 and
-	// propagates callback errors.
-	count := 0
-	if err := ForAllWirings(2, 2, true, func(perms [][]int) error {
-		count++
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if count != 2 {
-		t.Errorf("ForAllWirings(2,2,true) visited %d, want 2", count)
-	}
-	sentinel := errors.New("stop")
-	calls := 0
-	err := ForAllWirings(2, 2, false, func([][]int) error {
-		calls++
-		return sentinel
-	})
-	if !errors.Is(err, sentinel) || calls != 1 {
-		t.Errorf("err=%v calls=%d", err, calls)
-	}
-}
-
-// exploreBoth runs BFS and DFS on clones of the same system and asserts
-// they agree on state and terminal counts.
+// exploreBoth runs the breadth-first reference and DFS on clones of the
+// same system and asserts they search the same space: the same visited
+// set, edges, terminals and pruned count.
 func exploreBoth(t *testing.T, sys *machine.System, opts Options) (Result, Result) {
 	t.Helper()
-	bOpts := opts
-	bOpts.Engine = BFSEngine
+	bOpts, bSet := recordVisited(t, sys, bfsRun.with(opts))
 	b, err := Run(sys.Clone(), bOpts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dOpts := opts
-	dOpts.Engine = DFSEngine
+	dOpts, dSet := recordVisited(t, sys, dfsRun.with(opts))
 	d, err := Run(sys.Clone(), dOpts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if b.States != d.States {
-		t.Errorf("BFS states %d != DFS states %d", b.States, d.States)
-	}
-	if b.Terminals != d.Terminals {
-		t.Errorf("BFS terminals %d != DFS terminals %d", b.Terminals, d.Terminals)
-	}
-	if b.Edges != d.Edges {
-		t.Errorf("BFS edges %d != DFS edges %d", b.Edges, d.Edges)
+	if bk, dk := keyOf(b, bSet).space(), keyOf(d, dSet).space(); bk != dk {
+		t.Errorf("BFS %+v != DFS %+v", bk, dk)
 	}
 	return b, d
 }
@@ -251,7 +220,7 @@ func TestFootnote4LevelN1SufficesAtN2(t *testing.T) {
 
 func TestWriteScanHasCycles(t *testing.T) {
 	// The write-scan loop never terminates: its (finite) state graph must
-	// contain a cycle, which both explorers must report.
+	// contain a cycle, which DFS must report.
 	sys, _, err := core.NewWriteScanSystem(core.Config{Inputs: []string{"a", "b"}, Registers: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -266,14 +235,7 @@ func TestWriteScanHasCycles(t *testing.T) {
 	if len(d.CycleTrace) == 0 {
 		t.Error("no cycle trace recorded")
 	}
-	b, err := Run(sys.Clone(), Options{Engine: BFSEngine, TrackGraph: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, cyclic := b.Graph.FindCycle(); !cyclic {
-		t.Error("BFS graph has no cycle")
-	}
-	if d.Terminals != 0 || b.Terminals != 0 {
+	if d.Terminals != 0 {
 		t.Error("write-scan terminated")
 	}
 }
@@ -290,9 +252,9 @@ func TestInvariantViolationCarriesTrace(t *testing.T) {
 		}
 		return nil
 	}
-	for _, engine := range []Engine{BFSEngine, DFSEngine} {
-		name := engine.String()
-		_, err := Run(sys.Clone(), Options{Engine: engine, Invariant: inv, Traces: true})
+	for _, r := range []engineRun{bfsRun, dfsRun} {
+		name := r.name
+		_, err := Run(sys.Clone(), r.with(Options{Invariant: inv, Traces: true}))
 		var ie *InvariantError
 		if !errors.As(err, &ie) {
 			t.Fatalf("%s: err = %v", name, err)
@@ -319,9 +281,9 @@ func TestTruncationReported(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, engine := range []Engine{BFSEngine, DFSEngine} {
-		name := engine.String()
-		res, err := Run(sys.Clone(), Options{Engine: engine, MaxStates: 1000})
+	for _, r := range []engineRun{bfsRun, dfsRun} {
+		name := r.name
+		res, err := Run(sys.Clone(), r.with(Options{MaxStates: 1000}))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -349,16 +311,6 @@ func TestPruneCuts(t *testing.T) {
 	}
 	if pruned.States >= full.States {
 		t.Errorf("pruned states %d >= full %d", pruned.States, full.States)
-	}
-}
-
-func TestDFSRejectsTrackGraph(t *testing.T) {
-	sys, _, err := core.NewSnapshotSystem(core.Config{Inputs: []string{"a"}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Run(sys, Options{Engine: DFSEngine, TrackGraph: true}); err == nil {
-		t.Error("TrackGraph accepted by DFS")
 	}
 }
 

@@ -25,10 +25,11 @@ func metricValue(t *testing.T, snap []obs.MetricPoint, name, engine string) floa
 
 // TestRunPublishesMetrics checks that a run with Options.Obs lands its
 // Stats in the registry and its lifecycle in the event sink, for every
-// engine.
+// engine configuration.
 func TestRunPublishesMetrics(t *testing.T) {
-	for _, engine := range []Engine{BFSEngine, DFSEngine, ParallelEngine} {
-		t.Run(engine.String(), func(t *testing.T) {
+	for _, r := range engineRuns {
+		t.Run(r.name, func(t *testing.T) {
+			engine := r.engine
 			sys, _, err := core.NewSnapshotSystem(core.Config{Inputs: []string{"a", "b"}})
 			if err != nil {
 				t.Fatal(err)
@@ -36,7 +37,7 @@ func TestRunPublishesMetrics(t *testing.T) {
 			reg := obs.New()
 			var events bytes.Buffer
 			sink := obs.NewSink(&events)
-			res, err := Run(sys, Options{Engine: engine, Workers: 2, Obs: reg, Events: sink})
+			res, err := Run(sys, r.with(Options{Obs: reg, Events: sink}))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -84,12 +85,11 @@ func TestObsProgressGauges(t *testing.T) {
 	}
 	reg := obs.New()
 	calls := 0
-	_, err = Run(sys, Options{
-		Engine:        BFSEngine,
+	_, err = Run(sys, bfsRun.with(Options{
 		Obs:           reg,
 		Progress:      func(states, edges int) { calls++ },
 		ProgressEvery: 100,
-	})
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -41,16 +41,8 @@ func (e *CheckpointMismatchError) Error() string {
 }
 
 // validateOptions rejects option combinations no engine/store pair can
-// honor. engine is already resolved (never AutoEngine).
+// honor.
 func validateOptions(engine Engine, opts *Options) error {
-	caps := engine.Capabilities()
-	if opts.TrackGraph && !caps.TrackGraph {
-		hint := "use BFSEngine"
-		if engine == DFSEngine {
-			hint = "DFS detects cycles inline (Result.Cycle); use BFSEngine for the full graph"
-		}
-		return &UnsupportedOptionError{Engine: engine, Option: "TrackGraph", Hint: hint}
-	}
 	if opts.Store == store.Mem {
 		if opts.MemLimit != 0 {
 			return &UnsupportedOptionError{Store: "mem", Option: "MemLimit",
@@ -61,23 +53,9 @@ func validateOptions(engine Engine, opts *Options) error {
 				Hint: "the in-RAM store writes nothing; use Store: store.Disk (-store disk)"}
 		}
 	}
-	if opts.Store == store.Disk && opts.TrackGraph {
-		return &UnsupportedOptionError{Store: "disk", Option: "TrackGraph",
-			Hint: "the disk tier stores fingerprints without dense state ids; use Store: store.Mem"}
-	}
-	if opts.Checkpoint != "" && opts.TrackGraph {
-		return &UnsupportedOptionError{Engine: engine, Option: "Checkpoint with TrackGraph",
-			Hint: "checkpoints persist fingerprints and frontier paths, not graph adjacency"}
-	}
-	if opts.Resume != "" {
-		if opts.Traces {
-			return &UnsupportedOptionError{Engine: engine, Option: "Resume with Traces",
-				Hint: "checkpoints do not persist parent logs; rerun without Resume for a traced counterexample"}
-		}
-		if opts.TrackGraph {
-			return &UnsupportedOptionError{Engine: engine, Option: "Resume with TrackGraph",
-				Hint: "checkpoints do not persist graph adjacency"}
-		}
+	if opts.Resume != "" && opts.Traces {
+		return &UnsupportedOptionError{Engine: engine, Option: "Resume with Traces",
+			Hint: "checkpoints do not persist parent logs; rerun without Resume for a traced counterexample"}
 	}
 	return nil
 }

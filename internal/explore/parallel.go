@@ -34,8 +34,8 @@ import (
 // counters all keep their serial identities — and terminate because
 // recorded depths strictly decrease toward the true BFS depth. The final
 // MaxDepth is read off the visited set after the workers join, making it
-// the exact BFS eccentricity, deterministic across runs and equal to the
-// serial engines'.
+// the exact BFS eccentricity, deterministic across runs and worker
+// counts.
 //
 // Termination. A global counter tracks queued-but-unexpanded states; it
 // is incremented before a state is pushed and decremented after its
@@ -119,13 +119,7 @@ type parRun struct {
 
 // runParallel is the work-stealing parallel BFS engine behind Run.
 func runParallel(init *machine.System, opts Options) (Result, error) {
-	nw := opts.Workers
-	if nw <= 0 {
-		nw = runtime.GOMAXPROCS(0)
-	}
-	if nw > maxParallelWorkers {
-		nw = maxParallelWorkers
-	}
+	nw := opts.Workers // resolved by Run
 	p := &parRun{
 		opts:    opts,
 		workers: make([]parWorker, nw),
@@ -191,7 +185,7 @@ func runParallel(init *machine.System, opts Options) (Result, error) {
 			if err := opts.Invariant(Node{Sys: rootSys, Aux: opts.InitAux, Depth: 0}); err != nil {
 				res := p.result()
 				// The one-node trace: zero steps, but non-nil when Traces is
-				// set, matching the serial engines' root-violation behaviour.
+				// set, matching DFS's root-violation behaviour.
 				return res, &InvariantError{Err: err, Trace: p.traceTo(rootID)}
 			}
 		}

@@ -12,7 +12,7 @@ import (
 // frontier it had to hold, how often deduplication paid off, and how
 // evenly the parallel engine spread the work. Every engine fills it.
 type Stats struct {
-	// Engine is the engine that actually ran (AutoEngine resolved).
+	// Engine is the engine that ran.
 	Engine Engine
 	// Symmetry names the canonicalizer the run fingerprinted under
 	// ("none", "proc", "full").
@@ -20,15 +20,15 @@ type Stats struct {
 	// GroupSize is the number of admissible symmetry-group elements the
 	// canonicalizer bound for the initial system (1 = no reduction).
 	GroupSize int
-	// Workers is the number of expansion workers (1 for serial engines).
+	// Workers is the number of expansion workers (1 for DFSEngine).
 	Workers int
 	// WallTime is the end-to-end duration of the search.
 	WallTime time.Duration
 	// StatesPerSec is States divided by WallTime.
 	StatesPerSec float64
 	// FrontierPeak is the largest number of discovered-but-unexpanded
-	// states held at once (queue for BFS, stack for DFS, the union of all
-	// worker deques for the parallel engine).
+	// states held at once (the stack for DFS, the union of all worker
+	// deques for the parallel engine).
 	FrontierPeak int
 	// DedupLookups counts fingerprint-table probes (one per generated
 	// successor, plus one for the initial state).
@@ -65,9 +65,7 @@ func (s *Stats) finalize(wall time.Duration, states int) {
 // recomputed from the merged totals by the next finalize; callers that
 // merge by hand should use MergedRate.
 func (s *Stats) Merge(o Stats) {
-	if s.Engine == AutoEngine {
-		s.Engine = o.Engine
-	}
+	s.Engine = o.Engine // a sweep runs every wiring on one engine
 	if s.Symmetry == "" {
 		s.Symmetry = o.Symmetry
 	}

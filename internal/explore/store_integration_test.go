@@ -18,9 +18,9 @@ import (
 
 // These tests pin the out-of-core story end to end: the disk tier must
 // be observationally identical to the historical in-RAM search (same
-// counters, same verdicts, on every engine and symmetry level), and a
-// run killed mid-search must resume from its checkpoint to the exact
-// totals an uninterrupted run produces.
+// counters, visited sets and verdicts, on every engine and symmetry
+// level), and a run killed mid-search must resume from its checkpoint to
+// the exact totals and visited set an uninterrupted run produces.
 
 // tinyMemLimit forces the disk tier to actually spill on the small test
 // systems (the hot table floors at store's minimum, well under these
@@ -37,38 +37,36 @@ func diskOpts(t *testing.T, opts Options) Options {
 }
 
 // TestDiskMatchesMem is the store-equivalence test: on every small
-// system and every engine, the disk tier under a spill-forcing memory
-// ceiling must report exactly the counters of the in-RAM store.
+// system and every engine configuration, the disk tier under a
+// spill-forcing memory ceiling must report exactly the counters and
+// visited set of the in-RAM store.
 func TestDiskMatchesMem(t *testing.T) {
 	for name, c := range engineSystems(t) {
 		c := c
 		t.Run(name, func(t *testing.T) {
-			for _, engine := range []Engine{BFSEngine, DFSEngine, ParallelEngine} {
-				mopts := c.opts
-				mopts.Engine = engine
-				if engine == ParallelEngine {
-					mopts.Workers = 4
-				}
+			for _, r := range engineRuns {
+				mopts, mset := recordVisited(t, c.sys, r.with(c.opts))
 				ref, err := Run(c.sys.Clone(), mopts)
 				if err != nil {
-					t.Fatalf("%v mem: %v", engine, err)
+					t.Fatalf("%s mem: %v", r.name, err)
 				}
-				got, err := Run(c.sys.Clone(), diskOpts(t, mopts))
+				dopts, dset := recordVisited(t, c.sys, diskOpts(t, r.with(c.opts)))
+				got, err := Run(c.sys.Clone(), dopts)
 				if err != nil {
-					t.Fatalf("%v disk: %v", engine, err)
+					t.Fatalf("%s disk: %v", r.name, err)
 				}
-				if keyOf(got) != keyOf(ref) {
-					t.Errorf("%v: disk %+v, mem %+v", engine, keyOf(got), keyOf(ref))
+				if gk, rk := keyOf(got, dset), keyOf(ref, mset); gk != rk {
+					t.Errorf("%s: disk %+v, mem %+v", r.name, gk, rk)
 				}
 				if got.Stats.StoreKind != "disk" {
-					t.Errorf("%v: StoreKind = %q, want disk", engine, got.Stats.StoreKind)
+					t.Errorf("%s: StoreKind = %q, want disk", r.name, got.Stats.StoreKind)
 				}
 				// The hot table floors at 4096 slots and flushes at
 				// half-full, so any run past that many states must have
 				// spilled — otherwise the ceiling was never exercised.
 				if got.States >= 4096 && got.Stats.Store.Spills == 0 {
-					t.Errorf("%v: ceiling %d never spilled (states=%d); equivalence untested",
-						engine, tinyMemLimit, got.States)
+					t.Errorf("%s: ceiling %d never spilled (states=%d); equivalence untested",
+						r.name, tinyMemLimit, got.States)
 				}
 			}
 		})
@@ -77,29 +75,28 @@ func TestDiskMatchesMem(t *testing.T) {
 
 // TestDiskMatchesMemUnderSymmetry repeats the store-equivalence check on
 // every symmetry level: canonical fingerprints flow through the same
-// spill/merge path as exact ones, and the reduced counts must agree
-// between tiers on every engine.
+// spill/merge path as exact ones, and the reduced counts and visited
+// sets must agree between tiers on every engine configuration.
 func TestDiskMatchesMemUnderSymmetry(t *testing.T) {
 	sys, _, err := core.NewSnapshotSystem(core.Config{Inputs: []string{"a", "a"}, Nondet: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, sym := range []canon.Symmetry{canon.None, canon.Proc, canon.Full} {
-		for _, engine := range []Engine{BFSEngine, DFSEngine, ParallelEngine} {
-			mopts := Options{Engine: engine, Canonicalizer: sym.Canonicalizer()}
-			if engine == ParallelEngine {
-				mopts.Workers = 4
-			}
+		for _, r := range engineRuns {
+			base := r.with(Options{Canonicalizer: sym.Canonicalizer()})
+			mopts, mset := recordVisited(t, sys, base)
 			ref, err := Run(sys.Clone(), mopts)
 			if err != nil {
-				t.Fatalf("%v/%v mem: %v", engine, sym, err)
+				t.Fatalf("%s/%v mem: %v", r.name, sym, err)
 			}
-			got, err := Run(sys.Clone(), diskOpts(t, mopts))
+			dopts, dset := recordVisited(t, sys, diskOpts(t, base))
+			got, err := Run(sys.Clone(), dopts)
 			if err != nil {
-				t.Fatalf("%v/%v disk: %v", engine, sym, err)
+				t.Fatalf("%s/%v disk: %v", r.name, sym, err)
 			}
-			if keyOf(got) != keyOf(ref) {
-				t.Errorf("%v/%v: disk %+v, mem %+v", engine, sym, keyOf(got), keyOf(ref))
+			if gk, rk := keyOf(got, dset), keyOf(ref, mset); gk != rk {
+				t.Errorf("%s/%v: disk %+v, mem %+v", r.name, sym, gk, rk)
 			}
 		}
 	}
@@ -123,24 +120,25 @@ func cancelAfter(n int) (<-chan struct{}, func(states, edges int)) {
 	}
 }
 
-// TestKillAndResume hard-cancels every engine mid-run, then resumes from
-// the checkpoint and demands the exact totals of an uninterrupted run.
+// TestKillAndResume hard-cancels every engine configuration mid-run,
+// then resumes from the checkpoint and demands the exact totals of an
+// uninterrupted run, and that the two halves together discovered exactly
+// its visited set.
 func TestKillAndResume(t *testing.T) {
 	for _, kind := range []store.Kind{store.Mem, store.Disk} {
-		for _, engine := range []Engine{BFSEngine, DFSEngine, ParallelEngine} {
-			t.Run(kind.String()+"/"+engine.String(), func(t *testing.T) {
+		for _, r := range engineRuns {
+			engine := r.engine
+			t.Run(kind.String()+"/"+r.name, func(t *testing.T) {
 				sys, _, err := core.NewSnapshotSystem(core.Config{Inputs: []string{"a", "b"}, Nondet: true})
 				if err != nil {
 					t.Fatal(err)
 				}
-				opts := Options{Engine: engine}
-				if engine == ParallelEngine {
-					opts.Workers = 4
-				}
+				opts := r.with(Options{})
 				if kind == store.Disk {
 					opts = diskOpts(t, opts)
 				}
-				ref, err := Run(sys.Clone(), opts)
+				refOpts, refSet := recordVisited(t, sys, opts)
+				ref, err := Run(sys.Clone(), refOpts)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -156,7 +154,7 @@ func TestKillAndResume(t *testing.T) {
 				}
 				for _, n := range procs {
 					old := runtime.GOMAXPROCS(n)
-					killAndResume(t, sys, opts, ref)
+					killAndResume(t, sys, opts, keyOf(ref, refSet))
 					runtime.GOMAXPROCS(old)
 				}
 			})
@@ -165,20 +163,22 @@ func TestKillAndResume(t *testing.T) {
 }
 
 // killAndResume cancels a checkpointed run halfway, resumes it, and
-// checks the resumed totals against the uninterrupted reference.
-func killAndResume(t *testing.T, sys *machine.System, opts Options, ref Result) {
+// checks the resumed totals against the uninterrupted reference. The
+// resumed run discovers only the states the killed one had not, so the
+// union of the two runs' visited sets must be the reference set.
+func killAndResume(t *testing.T, sys *machine.System, opts Options, ref resultKey) {
 	t.Helper()
 	dir := t.TempDir()
-	killed := opts
+	killed, killedSet := recordVisited(t, sys, opts)
 	killed.Checkpoint = dir
 	killed.CheckpointEvery = 50
 	killed.ProgressEvery = 1
-	killed.Cancel, killed.Progress = cancelAfter(ref.States / 2)
+	killed.Cancel, killed.Progress = cancelAfter(ref.states / 2)
 	if _, err := Run(sys.Clone(), killed); !errors.Is(err, ErrCanceled) {
 		t.Fatalf("GOMAXPROCS=%d: killed run: err = %v, want ErrCanceled", runtime.GOMAXPROCS(0), err)
 	}
 
-	resumed := opts
+	resumed, resumedSet := recordVisited(t, sys, opts)
 	resumed.Resume = dir
 	resumed.Checkpoint = dir
 	resumed.CheckpointEvery = 50
@@ -186,8 +186,8 @@ func killAndResume(t *testing.T, sys *machine.System, opts Options, ref Result) 
 	if err != nil {
 		t.Fatalf("GOMAXPROCS=%d: resumed run: %v", runtime.GOMAXPROCS(0), err)
 	}
-	if keyOf(got) != keyOf(ref) {
-		t.Errorf("GOMAXPROCS=%d: resumed %+v, uninterrupted %+v", runtime.GOMAXPROCS(0), keyOf(got), keyOf(ref))
+	if k := keyOf(got, killedSet.union(resumedSet)); k != ref {
+		t.Errorf("GOMAXPROCS=%d: killed+resumed %+v, uninterrupted %+v", runtime.GOMAXPROCS(0), k, ref)
 	}
 }
 
@@ -242,16 +242,13 @@ func TestResumeReproducesViolation(t *testing.T) {
 		}
 		return nil
 	}
-	for _, engine := range []Engine{BFSEngine, DFSEngine, ParallelEngine} {
-		t.Run(engine.String(), func(t *testing.T) {
+	for _, r := range engineRuns {
+		t.Run(r.name, func(t *testing.T) {
 			sys, _, err := core.NewSnapshotSystem(core.Config{Inputs: []string{"a", "b"}, Nondet: true})
 			if err != nil {
 				t.Fatal(err)
 			}
-			opts := Options{Engine: engine, Invariant: inv}
-			if engine == ParallelEngine {
-				opts.Workers = 4
-			}
+			opts := r.with(Options{Invariant: inv})
 			ref, err := Run(sys.Clone(), opts)
 			if !errors.Is(err, boom) {
 				t.Fatalf("reference run: err = %v, want the planted violation", err)
@@ -283,8 +280,8 @@ func TestResumeReproducesViolation(t *testing.T) {
 			if !errors.As(rerr, &ie) {
 				t.Fatalf("resumed run: err = %T, want *InvariantError", rerr)
 			}
-			if engine != ParallelEngine && got.States != ref.States {
-				// Serial engines are deterministic, so the resumed search
+			if r.workers <= 1 && got.States != ref.States {
+				// Serial searches are deterministic, so the resumed search
 				// must stop at exactly the reference witness.
 				t.Errorf("resumed run found the violation at state %d, reference at %d", got.States, ref.States)
 			}
@@ -296,7 +293,7 @@ func TestResumeReproducesViolation(t *testing.T) {
 // completed wirings are skipped, the in-flight one resumes from its run
 // checkpoint, and the aggregate totals match an uninterrupted sweep.
 func TestSweepKillAndResume(t *testing.T) {
-	base := SnapshotConfig{Inputs: []string{"a", "b"}, Nondet: true, Wirings: FilterProc0, Engine: BFSEngine}
+	base := SnapshotConfig{Inputs: []string{"a", "b"}, Nondet: true, Wirings: FilterProc0, Engine: ParallelEngine, Workers: 1}
 	ref, err := CheckSnapshotSafety(base)
 	if err != nil {
 		t.Fatal(err)
@@ -343,10 +340,7 @@ func TestOptionsValidation(t *testing.T) {
 	}{
 		{"mem+MemLimit", Options{MemLimit: 1 << 20}, "MemLimit"},
 		{"mem+StoreDir", Options{StoreDir: "/tmp/x"}, "StoreDir"},
-		{"disk+TrackGraph", Options{Store: store.Disk, Engine: BFSEngine, TrackGraph: true}, "TrackGraph"},
-		{"checkpoint+TrackGraph", Options{Engine: BFSEngine, TrackGraph: true, Checkpoint: "ck"}, "Checkpoint with TrackGraph"},
 		{"resume+Traces", Options{Resume: "ck", Traces: true}, "Resume with Traces"},
-		{"resume+TrackGraph", Options{Engine: BFSEngine, Resume: "ck", TrackGraph: true}, "Resume with TrackGraph"},
 	}
 	sys, _, err := core.NewSnapshotSystem(core.Config{Inputs: []string{"a", "b"}})
 	if err != nil {
@@ -378,7 +372,7 @@ func TestResumeMismatchRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	dir := t.TempDir()
-	killed := Options{Engine: BFSEngine, Checkpoint: dir, CheckpointEvery: 10, ProgressEvery: 1}
+	killed := Options{Engine: ParallelEngine, Workers: 1, Checkpoint: dir, CheckpointEvery: 10, ProgressEvery: 1}
 	killed.Cancel, killed.Progress = cancelAfter(30)
 	if _, err := Run(sys.Clone(), killed); !errors.Is(err, ErrCanceled) {
 		t.Fatalf("killed run: err = %v, want ErrCanceled", err)
@@ -390,8 +384,8 @@ func TestResumeMismatchRejected(t *testing.T) {
 		field string
 	}{
 		{"engine", Options{Engine: DFSEngine, Resume: dir}, "engine"},
-		{"symmetry", Options{Engine: BFSEngine, Resume: dir, Canonicalizer: canon.ProcSymmetry{}}, "symmetry"},
-		{"maxCrashes", Options{Engine: BFSEngine, Resume: dir, MaxCrashes: 1}, "maxCrashes"},
+		{"symmetry", Options{Engine: ParallelEngine, Workers: 1, Resume: dir, Canonicalizer: canon.ProcSymmetry{}}, "symmetry"},
+		{"maxCrashes", Options{Engine: ParallelEngine, Workers: 1, Resume: dir, MaxCrashes: 1}, "maxCrashes"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -410,7 +404,7 @@ func TestResumeMismatchRejected(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, err = Run(other, Options{Engine: BFSEngine, Resume: dir})
+		_, err = Run(other, Options{Engine: ParallelEngine, Workers: 1, Resume: dir})
 		var me *CheckpointMismatchError
 		if !errors.As(err, &me) {
 			t.Fatalf("err = %v, want *CheckpointMismatchError", err)
@@ -424,7 +418,7 @@ func TestResumeMismatchRejected(t *testing.T) {
 // TestSweepResumeMismatchRejected: a sweep checkpoint likewise pins the
 // sweep identity.
 func TestSweepResumeMismatchRejected(t *testing.T) {
-	base := SnapshotConfig{Inputs: []string{"a", "b"}, Nondet: true, Wirings: FilterProc0, Engine: BFSEngine}
+	base := SnapshotConfig{Inputs: []string{"a", "b"}, Nondet: true, Wirings: FilterProc0, Engine: ParallelEngine, Workers: 1}
 	dir := t.TempDir()
 	ck := base
 	ck.Checkpoint = dir

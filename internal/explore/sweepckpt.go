@@ -54,7 +54,7 @@ func (c SnapshotConfig) sweepID(check string) sweepCheckpoint {
 	return sweepCheckpoint{
 		Version:    sweepMetaVersion,
 		Check:      check,
-		Engine:     c.engine().String(),
+		Engine:     c.Engine.String(),
 		Symmetry:   c.Symmetry.Canonicalizer().String(),
 		Inputs:     c.Inputs,
 		Nondet:     c.Nondet,
@@ -119,7 +119,7 @@ func writeSweepCheckpoint(dir string, sc sweepCheckpoint) error {
 // call Run with them.
 func (c SnapshotConfig) runSweep(check string, sweep *SweepResult, body func(perms [][]int, opts Options) (Result, error)) error {
 	sweepSpan := c.Trace.StartArgs("sweep", "sweep "+check,
-		map[string]any{"check": check, "engine": c.engine().String(),
+		map[string]any{"check": check, "engine": c.Engine.String(),
 			"symmetry": c.Symmetry.Canonicalizer().String()})
 	defer sweepSpan.End()
 	var resume *sweepCheckpoint

@@ -58,52 +58,62 @@ func TestSymmetryOrbitCrossCheck(t *testing.T) {
 }
 
 // TestEnginesAgreeUnderSymmetry: the acceptance gate on the Figure 3
-// snapshot sweep — all three engines, with symmetry on and off, produce
-// the same verdict; the reduced state counts agree across engines and
-// never exceed the unreduced ones.
+// snapshot sweep — every engine configuration, with symmetry on and off,
+// keeps the safety verdict on every wiring; per wiring the engines search
+// the same reduced visited set, and the reduced sweep never exceeds the
+// unreduced one. Each run is the sweep's own per-wiring run
+// (SnapshotConfig.options plus SnapshotInvariant), so its visited set can
+// be recorded.
 func TestEnginesAgreeUnderSymmetry(t *testing.T) {
 	base := SnapshotConfig{Inputs: []string{"a", "b"}, Nondet: true, Wirings: FilterProc0}
+	unreduced, err := CheckSnapshotSafety(base)
+	if err != nil {
+		t.Fatalf("unreduced reference: %v", err)
+	}
 	for _, sym := range []canon.Symmetry{canon.None, canon.Proc, canon.Full} {
-		var unreduced int
-		{
-			c := base
-			ref, err := CheckSnapshotSafety(c)
-			if err != nil {
-				t.Fatalf("unreduced reference: %v", err)
+		total := 0
+		for perms := range Wirings(2, 2, WiringOptions{Filter: base.Wirings}) {
+			var want resultKey
+			for i, r := range engineRuns {
+				c := base
+				c.Symmetry = sym
+				c.Engine, c.Workers = r.engine, r.workers
+				sys, ids, err := c.system(perms)
+				if err != nil {
+					t.Fatal(err)
+				}
+				opts := c.options()
+				opts.Invariant = SnapshotInvariant(ids)
+				opts, visited := recordVisited(t, sys, opts)
+				res, err := Run(sys.Clone(), opts)
+				if err != nil {
+					t.Fatalf("%s/%v wiring %v: safety verdict flipped: %v", r.name, sym, perms[1], err)
+				}
+				if sym != canon.None && res.Stats.Symmetry != sym.String() {
+					t.Errorf("%s/%v: stats symmetry %q", r.name, sym, res.Stats.Symmetry)
+				}
+				k := keyOf(res, visited).space()
+				if i == 0 {
+					want = k
+					total += res.States
+					continue
+				}
+				if k != want {
+					t.Errorf("%s/%v wiring %v: %+v, %s searched %+v", r.name, sym, perms[1], k, engineRuns[0].name, want)
+				}
 			}
-			unreduced = ref.TotalStates
 		}
-		states := map[Engine]int{}
-		for _, engine := range []Engine{BFSEngine, DFSEngine, ParallelEngine} {
-			c := base
-			c.Symmetry = sym
-			c.Engine = engine
-			c.Workers = 4
-			sweep, err := CheckSnapshotSafety(c)
-			if err != nil {
-				t.Fatalf("%v/%v: safety verdict flipped: %v", engine, sym, err)
-			}
-			if sweep.TotalStates == 0 {
-				t.Fatalf("%v/%v: empty sweep", engine, sym)
-			}
-			if sweep.TotalStates > unreduced {
-				t.Errorf("%v/%v: %d states exceeds unreduced %d", engine, sym, sweep.TotalStates, unreduced)
-			}
-			states[engine] = sweep.TotalStates
-			if sym != canon.None && sweep.Stats.Symmetry != sym.String() {
-				t.Errorf("%v/%v: stats symmetry %q", engine, sym, sweep.Stats.Symmetry)
-			}
-		}
-		if states[DFSEngine] != states[BFSEngine] || states[ParallelEngine] != states[BFSEngine] {
-			t.Errorf("%v: engines disagree on reduced state counts: %v", sym, states)
+		if total == 0 || total > unreduced.TotalStates {
+			t.Errorf("%v: %d states, unreduced %d", sym, total, unreduced.TotalStates)
 		}
 	}
 }
 
 // TestRenamingAgreesUnderSymmetry: the Figure 4 renaming algorithm at
-// N=2 stays wait-free on every engine with symmetry on; equal inputs put
-// both processors in one symmetry class, distinct inputs degenerate to
-// the trivial group — both must keep the verdict.
+// N=2 stays wait-free on every engine configuration with symmetry on,
+// searching the same visited set; equal inputs put both processors in
+// one symmetry class, distinct inputs degenerate to the trivial group —
+// both must keep the verdict.
 func TestRenamingAgreesUnderSymmetry(t *testing.T) {
 	for _, inputs := range [][]string{{"g", "g"}, {"g1", "g2"}} {
 		sys, _, err := renaming.NewSystem(renaming.Config{Inputs: inputs})
@@ -111,32 +121,34 @@ func TestRenamingAgreesUnderSymmetry(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, sym := range []canon.Symmetry{canon.None, canon.Proc, canon.Full} {
-			states := map[Engine]int{}
-			for _, engine := range []Engine{BFSEngine, DFSEngine, ParallelEngine} {
-				res, err := Run(sys.Clone(), Options{
-					Engine:        engine,
+			var want resultKey
+			for i, r := range engineRuns {
+				opts, visited := recordVisited(t, sys, r.with(Options{
 					Canonicalizer: sym.Canonicalizer(),
 					Invariant:     WaitFree(DefaultSoloBound(2, 2)),
-				})
+				}))
+				res, err := Run(sys.Clone(), opts)
 				if err != nil {
-					t.Fatalf("inputs %v %v/%v: %v", inputs, engine, sym, err)
+					t.Fatalf("inputs %v %s/%v: %v", inputs, r.name, sym, err)
 				}
 				if res.Cycle {
-					t.Fatalf("inputs %v %v/%v: unexpected cycle", inputs, engine, sym)
+					t.Fatalf("inputs %v %s/%v: unexpected cycle", inputs, r.name, sym)
 				}
-				states[engine] = res.States
-			}
-			if states[DFSEngine] != states[BFSEngine] || states[ParallelEngine] != states[BFSEngine] {
-				t.Errorf("inputs %v %v: engines disagree: %v", inputs, sym, states)
+				k := keyOf(res, visited).space()
+				if i == 0 {
+					want = k
+				} else if k != want {
+					t.Errorf("inputs %v %v: %s searched %+v, %s %+v", inputs, sym, r.name, k, engineRuns[0].name, want)
+				}
 			}
 		}
 	}
 }
 
 // TestSymmetryViolationTraceReplays: when an (orbit-invariant) invariant
-// is violated under symmetry reduction, every engine still returns a
-// counterexample trace that replays step by step from the initial state
-// to a genuinely violating state.
+// is violated under symmetry reduction, every engine configuration still
+// returns a counterexample trace that replays step by step from the
+// initial state to a genuinely violating state.
 func TestSymmetryViolationTraceReplays(t *testing.T) {
 	sys, _, err := core.NewSnapshotSystem(core.Config{Inputs: []string{"a", "b"}, Nondet: true})
 	if err != nil {
@@ -151,14 +163,13 @@ func TestSymmetryViolationTraceReplays(t *testing.T) {
 		}
 		return nil
 	}
-	for _, engine := range []Engine{BFSEngine, DFSEngine, ParallelEngine} {
-		_, err := Run(sys.Clone(), Options{
-			Engine:        engine,
-			Workers:       4,
+	for _, r := range engineRuns {
+		engine := r.name
+		_, err := Run(sys.Clone(), r.with(Options{
 			Canonicalizer: canon.ProcSymmetry{},
 			Invariant:     inv,
 			Traces:        true,
-		})
+		}))
 		var ie *InvariantError
 		if !errors.As(err, &ie) {
 			t.Fatalf("%v: expected InvariantError, got %v", engine, err)

@@ -100,7 +100,8 @@ func TestTracedDiskRunRecordsStorePhases(t *testing.T) {
 	sweep, err := CheckSnapshotSafety(SnapshotConfig{
 		Inputs:   []string{"a", "b"},
 		Nondet:   true,
-		Engine:   BFSEngine,
+		Engine:   ParallelEngine,
+		Workers:  1,
 		Store:    store.Disk,
 		MemLimit: 1 << 10, // force the hot table and frontier to spill
 		Trace:    tr,

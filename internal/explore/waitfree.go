@@ -3,10 +3,9 @@ package explore
 import "fmt"
 
 // This file provides the invariant form of the wait-freedom check: bounded
-// solo termination at every reachable state. It complements the two
-// cycle-based forms (DFSEngine's inline detection and BFSEngine's step
-// graph) and is the only form ParallelEngine can run, since invariants are
-// checked per state with no global graph.
+// solo termination at every reachable state. It complements DFSEngine's
+// inline cycle detection and is the only form ParallelEngine can run,
+// since invariants are checked per state with no global graph.
 //
 // The two forms catch different failure shapes. A cycle is an execution in
 // which live processors step forever — non-termination under adversarial

@@ -240,17 +240,3 @@ func WiringCount(n, m int, f WiringFilter) int {
 	}
 	return total
 }
-
-// ForAllWirings invokes f for every assignment of wiring permutations to
-// n processors over m registers. With canonical true, processor 0's
-// wiring is fixed to the identity.
-//
-// Deprecated: use Wirings with a WiringFilter; this wrapper remains for
-// one release.
-func ForAllWirings(n, m int, canonical bool, f func(perms [][]int) error) error {
-	filter := FilterAll
-	if canonical {
-		filter = FilterProc0
-	}
-	return forEachWiring(n, m, WiringOptions{Filter: filter}, f)
-}

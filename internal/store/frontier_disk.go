@@ -11,8 +11,9 @@ import (
 // budget, the oldest half of the tail is written out as one segment
 // (dropping the live states — their paths suffice). Pops drain the
 // head, then reload the oldest segment, then fall through to the tail,
-// so the global service order is exactly the in-RAM order — the BFS
-// engine explores the same sequence whether or not anything spilled.
+// so the global service order is exactly the in-RAM order — a
+// breadth-first search explores the same sequence whether or not
+// anything spilled.
 // Thieves steal only from the in-RAM tail, never from disk.
 type diskFrontier struct {
 	mu     sync.Mutex

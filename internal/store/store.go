@@ -1,7 +1,7 @@
 // Package store is the pluggable state-storage layer behind the
 // explorer engines: the visited set (fingerprint membership with
 // insert-if-absent) and the frontier (the discovered-but-unexpanded
-// work queue) live behind interfaces, so the same three engines run
+// work queue) live behind interfaces, so both engines run
 // either fully in RAM (Mem, the historical behaviour, bit-compatible
 // fingerprints and counts) or out-of-core (Disk) when the state space
 // exceeds memory.
@@ -143,7 +143,7 @@ const DefaultMemLimit = Bytes(256 << 20)
 type Order uint8
 
 const (
-	// FIFO pops oldest-first (breadth-first engines).
+	// FIFO pops oldest-first (breadth-first search).
 	FIFO Order = iota
 	// LIFO pops newest-first (depth-first exploration of a frontier).
 	LIFO
@@ -224,17 +224,6 @@ type VisitedSet interface {
 	LoadFPFile(path string) error
 	// Close releases any resources (disk runs).
 	Close() error
-}
-
-// IDSet is a VisitedSet that additionally remembers a dense discovery
-// id per fingerprint — what the BFS engine's step-graph tracking needs.
-// Only the serial mem tier implements it.
-type IDSet interface {
-	VisitedSet
-	// InsertID is Insert returning the fingerprint's discovery id: ids
-	// are assigned 0,1,2,... in insertion order, and a duplicate insert
-	// returns the existing id.
-	InsertID(fp uint64, depth int32) (id int64, fresh bool)
 }
 
 // Frontier is a work queue of discovered-but-unexpanded states.

@@ -228,19 +228,6 @@ func TestVisitedFPFileRoundTrip(t *testing.T) {
 	}
 }
 
-func TestMemVisitedIDs(t *testing.T) {
-	v := newMemVisited()
-	for i := 0; i < 100; i++ {
-		id, fresh := v.InsertID(uint64(i)*2654435761+1, 0)
-		if !fresh || id != int64(i) {
-			t.Fatalf("InsertID #%d: id=%d fresh=%v", i, id, fresh)
-		}
-	}
-	if id, fresh := v.InsertID(uint64(7)*2654435761+1, 0); fresh || id != 7 {
-		t.Fatalf("dup InsertID: id=%d fresh=%v", id, fresh)
-	}
-}
-
 func TestFrontierOrders(t *testing.T) {
 	mk := func(t *testing.T, kind Kind, order Order) Frontier {
 		st, err := Open(Config{Kind: kind, Dir: t.TempDir(), MemLimit: 1 << 16, Root: testRoot(t)})
