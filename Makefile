@@ -74,20 +74,20 @@ fuzz-smoke:
 # The N=3 rows run the same-group system with deterministic write order —
 # the one N=3 snapshot space small enough to sweep untruncated (~72M
 # states, ~15 min total), so the reduction ratio is exact rather than an
-# artifact of per-wiring state caps. The store rows rerun the N=3
-# full-symmetry sweep through both state-store tiers — in-RAM and disk
-# under a 64MiB ceiling — so the out-of-core overhead and the
-# states-match-exactly property are pinned as artifacts. Render reports
+# artifact of per-wiring state caps. The store row reruns the N=3
+# full-symmetry sweep on the disk tier under a 64MiB ceiling; its
+# in-RAM twin is BENCH_sym_full_n3.json, so the out-of-core overhead and
+# the states-match-exactly property are pinned as artifacts. Every row
+# is a distinct resolved search (the report's "config"), so `figures
+# -trend` over these files shows one trajectory per row. Render reports
 # back with `go run ./cmd/figures -load BENCH_dfs.json`.
 bench-report:
 	$(GO) run ./cmd/anonexplore -check safety -inputs a,b -engine dfs -report BENCH_dfs.json
 	$(GO) run ./cmd/anonexplore -check safety -inputs a,b -engine parallel -report BENCH_parallel.json
 	$(GO) run ./cmd/anonexplore -check waitfree -inputs a,b -crashes 1 -engine parallel -report BENCH_crash_parallel.json
-	$(GO) run ./cmd/anonexplore -check safety -inputs a,b -engine dfs -symmetry none -report BENCH_sym_none_n2.json
 	$(GO) run ./cmd/anonexplore -check safety -inputs a,b -engine dfs -symmetry proc -report BENCH_sym_proc_n2.json
 	$(GO) run ./cmd/anonexplore -check safety -inputs a,b -engine dfs -symmetry full -report BENCH_sym_full_n2.json
 	$(GO) run ./cmd/anonexplore -check safety -inputs g,g,g -nondet=false -engine dfs -symmetry none -report BENCH_sym_none_n3.json
 	$(GO) run ./cmd/anonexplore -check safety -inputs g,g,g -nondet=false -engine dfs -wirings orbits -symmetry proc -report BENCH_sym_proc_n3.json
 	$(GO) run ./cmd/anonexplore -check safety -inputs g,g,g -nondet=false -engine dfs -wirings orbits -symmetry full -report BENCH_sym_full_n3.json
-	$(GO) run ./cmd/anonexplore -check safety -inputs g,g,g -nondet=false -engine dfs -wirings orbits -symmetry full -report BENCH_store_mem_n3.json
 	$(GO) run ./cmd/anonexplore -check safety -inputs g,g,g -nondet=false -engine dfs -wirings orbits -symmetry full -store disk -mem 64MiB -report BENCH_store_disk_n3.json

@@ -33,11 +33,15 @@
 // -resume reruns report the violation without a trace.
 //
 // Observability: results go to stdout; -progress diagnostics go to
-// stderr so piped output stays clean. -report FILE writes a JSON report
-// (check parameters, sweep totals, final metrics including states/sec),
-// and -http ADDR serves live metrics (/metrics) and pprof
-// (/debug/pprof/) while the search runs. cmd/figures -load renders
-// report files back into tables.
+// stderr so piped output stays clean. -report FILE writes the run's
+// JSON report: its "config" (the resolved search — check, inputs,
+// nondet, wirings, symmetry, crashes, level, max-states, solo bound,
+// engine — plus workers, store and mem), outcome, completion time,
+// provenance (Go version, GOOS/GOARCH, GOMAXPROCS, NumCPU, VCS
+// revision), sweep totals and final metrics including states/sec. -http
+// ADDR serves live metrics (/metrics) and pprof (/debug/pprof/) while
+// the search runs. cmd/figures -load renders report files back into
+// tables.
 //
 // Tracing and run history: -trace FILE records the run as Chrome
 // trace_event JSON — one span per sweep, wiring, engine run, store
@@ -45,10 +49,10 @@
 // or chrome://tracing; the per-phase totals also land in the report's
 // "trace" section. -events FILE streams engine lifecycle events as
 // JSONL (the same stream anonsim's -events carries per step). -ledger
-// FILE appends one JSONL entry per run (config, totals, wall time,
-// phase breakdown, outcome) to a persistent history — conventionally
-// .anonledger/runs.jsonl — that cmd/figures -trend turns into
-// throughput trajectories and regression checks.
+// FILE appends the same report as one JSONL line to a persistent
+// history — conventionally .anonledger/runs.jsonl — that cmd/figures
+// -trend turns into throughput trajectories, one per distinct config,
+// and regression checks.
 //
 // Stall watchdog: -stall-after DUR arms a watchdog that fires when no
 // state has been discovered for DUR; it records the stall in the
@@ -78,6 +82,7 @@
 package main
 
 import (
+	"cmp"
 	"errors"
 	"flag"
 	"fmt"
@@ -87,218 +92,135 @@ import (
 	"strings"
 	"time"
 
-	"anonshm/internal/canon"
 	"anonshm/internal/exitcode"
 	"anonshm/internal/explore"
 	"anonshm/internal/obs"
-	"anonshm/internal/obs/ledger"
-	"anonshm/internal/obs/span"
+	"anonshm/internal/runrec"
 	"anonshm/internal/store"
 )
 
 func main() {
-	var (
-		engine    explore.Engine
-		wirings   = explore.FilterProc0
-		symmetry  canon.Symmetry
-		storeKind store.Kind
-		memLimit  store.Bytes
-	)
-	var (
-		check      = flag.String("check", "safety", "check: safety | waitfree | atomicity | atomicity-random | consensus")
-		inputsCSV  = flag.String("inputs", "a,b", "comma-separated processor inputs")
-		workers    = flag.Int("workers", 0, "parallel engine workers (0 = GOMAXPROCS)")
-		progress   = flag.Int("progress", 0, "print progress to stderr every N discovered states (0 = off)")
-		nondet     = flag.Bool("nondet", true, "explore the algorithms' internal register choices")
-		level      = flag.Int("level", 0, "snapshot termination level override (0 = N)")
-		maxStates  = flag.Int("max-states", 0, "per-search state bound (0 = default)")
-		crashes    = flag.Int("crashes", 0, "crash-fault budget: explore executions with up to this many crash-stopped processors")
-		soloBound  = flag.Int("solo-bound", 0, "solo-step budget of the waitfree invariant (0 = derived from N and M)")
-		maxTS      = flag.Int("max-ts", 2, "consensus timestamp bound")
-		trials     = flag.Int("trials", 100000, "trials for atomicity-random")
-		seed       = flag.Int64("seed", 1, "seed for atomicity-random")
-		reportPath = flag.String("report", "", "write a JSON metrics report to this file")
-		httpAddr   = flag.String("http", "", "serve live metrics (/metrics) and pprof (/debug/pprof/) on this address during the run")
-		storeDir   = flag.String("store-dir", "", "disk store scratch directory (default: a temp directory per run)")
-		checkpoint = flag.String("checkpoint", "", "write periodic checkpoints to this directory; ^C stops cleanly after a final one")
-		ckptEvery  = flag.Int("checkpoint-every", 0, "checkpoint cadence in discovered states (0 = default)")
-		resume     = flag.String("resume", "", "resume a stopped sweep from this checkpoint directory")
-		tracePath  = flag.String("trace", "", "write a Chrome trace_event JSON trace of the run to this file (load in Perfetto)")
-		eventsPath = flag.String("events", "", "stream engine lifecycle events to this file as JSONL")
-		ledgerPath = flag.String("ledger", "", "append a run-history entry to this JSONL ledger (conventionally "+ledger.DefaultPath+")")
-		stallAfter = flag.Duration("stall-after", 0, "watchdog: diagnose a stall after this long with no discovered state, dumping pprof profiles (0 = off)")
-		stallAbort = flag.Bool("stall-abort", false, "abort a stalled run with exit code 5 (requires -stall-after)")
-	)
-	flag.Var(&engine, "engine", "explorer engine: dfs (default) | parallel")
-	flag.Var(&wirings, "wirings", "wiring sweep filter: all | proc0 | orbits")
-	flag.Var(&symmetry, "symmetry", "state canonicalizer: none | proc | full")
-	flag.Var(&storeKind, "store", "state store tier: mem | disk")
-	flag.Var(&memLimit, "mem", "disk tier RAM ceiling, e.g. 64MiB, 2GiB (0 = 256MiB default)")
-	flag.Parse()
-	reg := obs.New()
-	if *httpAddr != "" {
-		addr, err := obs.Serve(*httpAddr, reg)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "anonexplore:", err)
-			os.Exit(exitcode.Usage)
-		}
-		fmt.Fprintf(os.Stderr, "anonexplore: serving metrics on http://%s/metrics (pprof on /debug/pprof/)\n", addr)
+	os.Exit(runMain(os.Args[1:]))
+}
+
+// runMain runs one invocation and returns its exit code.
+func runMain(args []string) int {
+	cli, out, err := parseArgs(args)
+	if errors.Is(err, flag.ErrHelp) {
+		return exitcode.OK
 	}
-	var tr *span.Tracer
-	var traceFile *os.File
-	if *tracePath != "" {
-		f, err := os.Create(*tracePath)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "anonexplore:", err)
-			os.Exit(exitcode.Usage)
-		}
-		traceFile, tr = f, span.New(f)
+	if err != nil {
+		return exitcode.Usage
 	}
-	var events *obs.Sink
-	var eventsFile *os.File
-	if *eventsPath != "" {
-		f, err := os.Create(*eventsPath)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "anonexplore:", err)
-			os.Exit(exitcode.Usage)
-		}
-		eventsFile, events = f, obs.NewSink(f)
+	rec, err := runrec.Start("anonexplore", args, out)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "anonexplore:", err)
+		return exitcode.Usage
 	}
-	stallDir := ""
-	if *reportPath != "" {
+	cli.cfg.Obs, cli.cfg.Trace, cli.cfg.Events, cli.cfg.Cancel = rec.Reg, rec.Tracer, rec.Events, interruptChannel()
+	rec.Report.Config = cli.config()
+	return rec.Finish(run(cli, rec.Report))
+}
+
+// options is a parsed command line: the check, its non-explorer
+// parameters, and the explorer configuration the flags fill directly.
+type options struct {
+	check  string
+	maxTS  int
+	trials int
+	seed   int64
+	cfg    explore.SnapshotConfig
+}
+
+// parseArgs parses the command line into the run's options and the
+// outputs of its record. The flag set has already printed any error.
+func parseArgs(args []string) (options, runrec.Outputs, error) {
+	cli := options{cfg: explore.SnapshotConfig{Wirings: explore.FilterProc0}}
+	c := &cli.cfg
+	var out runrec.Outputs
+	var inputsCSV string
+	var progress int
+	fs := flag.NewFlagSet("anonexplore", flag.ContinueOnError)
+	fs.StringVar(&cli.check, "check", "safety", "check: safety | waitfree | atomicity | atomicity-random | consensus")
+	fs.StringVar(&inputsCSV, "inputs", "a,b", "comma-separated processor inputs")
+	fs.IntVar(&c.Workers, "workers", 0, "parallel engine workers (0 = GOMAXPROCS)")
+	fs.IntVar(&progress, "progress", 0, "print progress to stderr every N discovered states (0 = off)")
+	fs.BoolVar(&c.Nondet, "nondet", true, "explore the algorithms' internal register choices")
+	fs.IntVar(&c.Level, "level", 0, "snapshot termination level override (0 = N)")
+	fs.IntVar(&c.MaxStates, "max-states", 0, "per-search state bound (0 = default)")
+	fs.IntVar(&c.MaxCrashes, "crashes", 0, "crash-fault budget: explore executions with up to this many crash-stopped processors")
+	fs.IntVar(&c.SoloBound, "solo-bound", 0, "solo-step budget of the waitfree invariant (0 = derived from N and M)")
+	fs.IntVar(&cli.maxTS, "max-ts", 2, "consensus timestamp bound")
+	fs.IntVar(&cli.trials, "trials", 100000, "trials for atomicity-random")
+	fs.Int64Var(&cli.seed, "seed", 1, "seed for atomicity-random")
+	fs.StringVar(&out.Report, "report", "", "write the run's JSON report to this file")
+	fs.StringVar(&out.HTTP, "http", "", "serve live metrics (/metrics) and pprof (/debug/pprof/) on this address during the run")
+	fs.StringVar(&c.StoreDir, "store-dir", "", "disk store scratch directory (default: a temp directory per run)")
+	fs.StringVar(&c.Checkpoint, "checkpoint", "", "write periodic checkpoints to this directory; ^C stops cleanly after a final one")
+	fs.IntVar(&c.CheckpointEvery, "checkpoint-every", 0, "checkpoint cadence in discovered states (0 = default)")
+	fs.StringVar(&c.Resume, "resume", "", "resume a stopped sweep from this checkpoint directory")
+	fs.StringVar(&out.Trace, "trace", "", "write a Chrome trace_event JSON trace of the run to this file (load in Perfetto)")
+	fs.StringVar(&out.Events, "events", "", "stream engine lifecycle events to this file as JSONL")
+	fs.StringVar(&out.Ledger, "ledger", "", "append the run's report as one line to this JSONL ledger (conventionally "+obs.DefaultLedger+")")
+	fs.DurationVar(&c.StallAfter, "stall-after", 0, "watchdog: diagnose a stall after this long with no discovered state, dumping pprof profiles (0 = off)")
+	fs.BoolVar(&c.StallAbort, "stall-abort", false, "abort a stalled run with exit code 5 (requires -stall-after)")
+	fs.Var(&c.Engine, "engine", "explorer engine: dfs (default) | parallel")
+	fs.Var(&c.Wirings, "wirings", "wiring sweep filter: all | proc0 | orbits")
+	fs.Var(&c.Symmetry, "symmetry", "state canonicalizer: none | proc | full")
+	fs.Var(&c.Store, "store", "state store tier: mem | disk")
+	fs.Var(&c.MemLimit, "mem", "disk tier RAM ceiling, e.g. 64MiB, 2GiB (0 = 256MiB default)")
+	if err := fs.Parse(args); err != nil {
+		return cli, out, err
+	}
+	c.Inputs = strings.Split(inputsCSV, ",")
+	// Checkpoints do not persist parent logs, so a resumed run cannot
+	// keep counterexample traces.
+	c.Traces = c.Resume == ""
+	if out.Report != "" {
 		// Stall profiles land next to the report so one artifact
 		// directory carries the whole diagnosis.
-		stallDir = filepath.Dir(*reportPath)
+		c.StallDir = filepath.Dir(out.Report)
 	}
-	cli := options{
-		check: *check, inputsCSV: *inputsCSV,
-		engine: engine, workers: *workers, progress: *progress,
-		nondet: *nondet, wirings: wirings, symmetry: symmetry, level: *level,
-		maxStates: *maxStates, crashes: *crashes, soloBound: *soloBound,
-		maxTS: *maxTS, trials: *trials, seed: *seed,
-		store: storeKind, storeDir: *storeDir, memLimit: memLimit,
-		checkpoint: *checkpoint, ckptEvery: *ckptEvery, resume: *resume,
-		trace: tr, events: events,
-		stallAfter: *stallAfter, stallAbort: *stallAbort, stallDir: stallDir,
-		cancel: interruptChannel(),
+	if progress > 0 {
+		c.ProgressEvery = progress
+		c.Progress = progressPrinter()
 	}
-	rep := obs.NewReport("anonexplore", os.Args[1:])
-	runErr := run(cli, reg, rep)
-	if tr != nil {
-		rep.Section("trace", map[string]any{"file": *tracePath, "phases": tr.PhaseSeconds()})
-		if err := tr.Close(); err != nil {
-			fmt.Fprintln(os.Stderr, "anonexplore:", err)
-			if runErr == nil {
-				runErr = err
-			}
-		} else {
-			fmt.Fprintf(os.Stderr, "anonexplore: wrote trace to %s\n", *tracePath)
-		}
-		if err := traceFile.Close(); err != nil && runErr == nil {
-			runErr = err
-		}
-	}
-	if events != nil {
-		if err := events.Err(); err != nil && runErr == nil {
-			runErr = err
-		}
-		if err := eventsFile.Close(); err != nil && runErr == nil {
-			runErr = err
-		}
-	}
-	if *ledgerPath != "" {
-		if err := ledger.Append(*ledgerPath, ledgerEntry(cli, rep, tr, runErr)); err != nil {
-			fmt.Fprintln(os.Stderr, "anonexplore:", err)
-			if runErr == nil {
-				runErr = err
-			}
-		}
-	}
-	if *reportPath != "" {
-		if runErr != nil {
-			rep.Section("error", runErr.Error())
-		}
-		rep.AddMetrics(reg)
-		if err := rep.WriteFile(*reportPath); err != nil {
-			fmt.Fprintln(os.Stderr, "anonexplore:", err)
-			os.Exit(exitcode.Error)
-		}
-		fmt.Fprintf(os.Stderr, "anonexplore: wrote report to %s\n", *reportPath)
-	}
-	if runErr != nil {
-		fmt.Fprintln(os.Stderr, "anonexplore:", exitcode.Summary(runErr))
-		os.Exit(exitcode.Code(runErr))
-	}
+	return cli, out, nil
 }
 
-type options struct {
-	check      string
-	inputsCSV  string
-	engine     explore.Engine
-	workers    int
-	progress   int
-	nondet     bool
-	wirings    explore.WiringFilter
-	symmetry   canon.Symmetry
-	level      int
-	maxStates  int
-	crashes    int
-	soloBound  int
-	maxTS      int
-	trials     int
-	seed       int64
-	store      store.Kind
-	storeDir   string
-	memLimit   store.Bytes
-	checkpoint string
-	ckptEvery  int
-	resume     string
-	trace      *span.Tracer
-	events     *obs.Sink
-	stallAfter time.Duration
-	stallAbort bool
-	stallDir   string
-	cancel     <-chan struct{}
+// runConfig is the report's config: the resolved search plus the
+// execution choices that shape its throughput. Two runs with equal
+// configs searched the same space the same way, so their throughputs
+// belong to one trend trajectory.
+type runConfig struct {
+	explore.Identity
+	Workers int    `json:"workers"`
+	Store   string `json:"store"`
+	Mem     string `json:"mem,omitempty"`
+	// MaxTS is the consensus check's timestamp bound; Trials and Seed
+	// drive atomicity-random.
+	MaxTS  int   `json:"maxTS,omitempty"`
+	Trials int   `json:"trials,omitempty"`
+	Seed   int64 `json:"seed,omitempty"`
 }
 
-// ledgerEntry condenses a finished run into its run-history record: the
-// comparability config recovered from argv (so live entries and
-// committed BENCH reports of the same invocation share a trajectory),
-// the sweep totals, the traced phase breakdown and the outcome.
-func ledgerEntry(cli options, rep *obs.Report, tr *span.Tracer, runErr error) ledger.Entry {
-	e := ledger.Entry{
-		Tool:    "anonexplore",
-		Check:   cli.check,
-		Config:  ledger.ConfigFromArgs(rep.Args),
-		Outcome: outcomeOf(runErr),
+// config resolves the run's config from its options.
+func (cli options) config() runConfig {
+	c := runConfig{
+		Identity: cli.cfg.Identity(cli.check),
+		Workers:  cli.cfg.Engine.Workers(cli.cfg.Workers),
+		Store:    cli.cfg.Store.String(),
 	}
-	if sec, ok := rep.Sections["sweep"].(sweepSection); ok {
-		e.Wirings = sec.Wirings
-		e.States = int64(sec.TotalStates)
-		e.Edges = int64(sec.TotalEdges)
-		e.WallSeconds = sec.WallSeconds
-		e.StatesPerSec = sec.StatesPerSec
+	if cli.cfg.Store == store.Disk {
+		c.Mem = cmp.Or(cli.cfg.MemLimit, store.DefaultMemLimit).String()
 	}
-	if tr != nil {
-		e.Phases = tr.PhaseSeconds()
+	switch cli.check {
+	case "consensus":
+		c.MaxTS = cli.maxTS
+	case "atomicity-random":
+		c.Trials, c.Seed = cli.trials, cli.seed
 	}
-	return e
-}
-
-// outcomeOf classifies a run error for the ledger's outcome column.
-func outcomeOf(err error) string {
-	switch {
-	case err == nil:
-		return "ok"
-	case errors.Is(err, explore.ErrStalled):
-		return "stalled"
-	case errors.Is(err, explore.ErrCanceled):
-		return "canceled"
-	case exitcode.Code(err) == exitcode.Violation:
-		return "violation"
-	default:
-		return "error"
-	}
+	return c
 }
 
 // interruptChannel maps the first SIGINT to a graceful stop (the sweeps
@@ -375,81 +297,24 @@ func sectionOf(sweep explore.SweepResult) sweepSection {
 	return s
 }
 
-func run(cli options, reg *obs.Registry, rep *obs.Report) error {
-	inputs := strings.Split(cli.inputsCSV, ",")
-	rep.Section("check", map[string]any{
-		"check":      cli.check,
-		"inputs":     inputs,
-		"engine":     cli.engine.String(),
-		"workers":    cli.workers,
-		"nondet":     cli.nondet,
-		"wirings":    cli.wirings.String(),
-		"symmetry":   cli.symmetry.String(),
-		"crashes":    cli.crashes,
-		"store":      cli.store.String(),
-		"mem":        cli.memLimit.String(),
-		"checkpoint": cli.checkpoint,
-		"resume":     cli.resume,
-	})
-	if cli.checkpoint != "" || cli.resume != "" {
+func run(cli options, rep *obs.Report) error {
+	cfg := cli.cfg
+	if cfg.Checkpoint != "" || cfg.Resume != "" {
 		switch cli.check {
 		case "safety", "waitfree":
 		default:
 			return fmt.Errorf("anonexplore: -checkpoint/-resume support only the safety and waitfree sweeps, not %q", cli.check)
 		}
 	}
-	cfg := explore.SnapshotConfig{
-		Inputs:     inputs,
-		Nondet:     cli.nondet,
-		Wirings:    cli.wirings,
-		Symmetry:   cli.symmetry,
-		Level:      cli.level,
-		MaxStates:  cli.maxStates,
-		MaxCrashes: cli.crashes,
-		SoloBound:  cli.soloBound,
-		Traces:     true,
-		Engine:     cli.engine,
-		Workers:    cli.workers,
-		Obs:        reg,
-		Store:      cli.store,
-		StoreDir:   cli.storeDir,
-		MemLimit:   cli.memLimit,
-		Checkpoint: cli.checkpoint,
-		Resume:     cli.resume,
-		Events:     cli.events,
-		Trace:      cli.trace,
-		StallAfter: cli.stallAfter,
-		StallAbort: cli.stallAbort,
-		StallDir:   cli.stallDir,
-		Cancel:     cli.cancel,
-	}
-	if cli.ckptEvery > 0 {
-		cfg.CheckpointEvery = cli.ckptEvery
-	}
-	if cli.resume != "" {
-		// Checkpoints do not persist parent logs, so a resumed run cannot
-		// keep counterexample traces.
-		cfg.Traces = false
+	if cfg.Resume != "" {
 		fmt.Fprintln(os.Stderr, "anonexplore: resuming — counterexample traces disabled for this run")
-	}
-	if cli.progress > 0 {
-		cfg.ProgressEvery = cli.progress
-		cfg.Progress = progressPrinter()
 	}
 	start := time.Now()
 	switch cli.check {
 	case "safety":
 		sweep, err := explore.CheckSnapshotSafety(cfg)
-		report(sweep, start)
-		rep.Section("sweep", sectionOf(sweep))
-		if errors.Is(err, explore.ErrStalled) {
-			return exitcode.WithCode(exitcode.Stalled, err)
-		}
-		if errors.Is(err, explore.ErrCanceled) {
-			return canceledError(cli)
-		}
-		if err != nil {
-			return exitcode.Violated("snapshot safety", err)
+		if err := sweepDone(cfg, rep, sweep, start, "snapshot safety", err); err != nil {
+			return err
 		}
 		fmt.Println("snapshot-task safety holds over every explored interleaving")
 	case "waitfree":
@@ -458,19 +323,11 @@ func run(cli options, reg *obs.Registry, rep *obs.Report) error {
 		if errors.As(err, &unsupported) {
 			return err
 		}
-		report(sweep, start)
-		rep.Section("sweep", sectionOf(sweep))
-		if errors.Is(err, explore.ErrStalled) {
-			return exitcode.WithCode(exitcode.Stalled, err)
+		if err := sweepDone(cfg, rep, sweep, start, "wait-freedom", err); err != nil {
+			return err
 		}
-		if errors.Is(err, explore.ErrCanceled) {
-			return canceledError(cli)
-		}
-		if err != nil {
-			return exitcode.Violated("wait-freedom", err)
-		}
-		if cli.crashes > 0 {
-			fmt.Printf("wait-freedom holds with a crash budget of %d: every survivor solo-terminates from every reachable state\n", cli.crashes)
+		if cfg.MaxCrashes > 0 {
+			fmt.Printf("wait-freedom holds with a crash budget of %d: every survivor solo-terminates from every reachable state\n", cfg.MaxCrashes)
 		} else {
 			fmt.Println("wait-freedom holds: the reachable step graph is acyclic and every processor solo-terminates")
 		}
@@ -495,7 +352,7 @@ func run(cli options, reg *obs.Registry, rep *obs.Report) error {
 			fmt.Println("no witness found within the state bound (search truncated; not a proof)")
 		}
 	case "atomicity-random":
-		w, found, err := explore.RandomNonAtomicityWitness(inputs, cli.trials, cli.seed)
+		w, found, err := explore.RandomNonAtomicityWitness(cfg.Inputs, cli.trials, cli.seed)
 		if err != nil {
 			return err
 		}
@@ -510,35 +367,27 @@ func run(cli options, reg *obs.Registry, rep *obs.Report) error {
 		fmt.Printf("no witness in %d random executions\n", cli.trials)
 	case "consensus":
 		sweep, err := explore.CheckConsensusBounded(explore.ConsensusConfig{
-			Inputs:       inputs,
+			Inputs:       cfg.Inputs,
 			MaxTimestamp: cli.maxTS,
-			Wirings:      cli.wirings,
-			Symmetry:     cli.symmetry,
-			MaxStates:    cli.maxStates,
-			MaxCrashes:   cli.crashes,
-			Engine:       cli.engine,
-			Workers:      cli.workers,
-			Obs:          reg,
-			Events:       cli.events,
-			Trace:        cli.trace,
-			StallAfter:   cli.stallAfter,
-			StallAbort:   cli.stallAbort,
-			StallDir:     cli.stallDir,
-			Store:        cli.store,
-			StoreDir:     cli.storeDir,
-			MemLimit:     cli.memLimit,
-			Cancel:       cli.cancel,
+			Wirings:      cfg.Wirings,
+			Symmetry:     cfg.Symmetry,
+			MaxStates:    cfg.MaxStates,
+			MaxCrashes:   cfg.MaxCrashes,
+			Engine:       cfg.Engine,
+			Workers:      cfg.Workers,
+			Obs:          cfg.Obs,
+			Events:       cfg.Events,
+			Trace:        cfg.Trace,
+			StallAfter:   cfg.StallAfter,
+			StallAbort:   cfg.StallAbort,
+			StallDir:     cfg.StallDir,
+			Store:        cfg.Store,
+			StoreDir:     cfg.StoreDir,
+			MemLimit:     cfg.MemLimit,
+			Cancel:       cfg.Cancel,
 		})
-		report(sweep, start)
-		rep.Section("sweep", sectionOf(sweep))
-		if errors.Is(err, explore.ErrStalled) {
-			return exitcode.WithCode(exitcode.Stalled, err)
-		}
-		if errors.Is(err, explore.ErrCanceled) {
-			return canceledError(cli)
-		}
-		if err != nil {
-			return exitcode.Violated("consensus safety", err)
+		if err := sweepDone(cfg, rep, sweep, start, "consensus safety", err); err != nil {
+			return err
 		}
 		fmt.Printf("agreement and validity hold over every state with timestamps ≤ %d\n", cli.maxTS)
 	default:
@@ -547,13 +396,31 @@ func run(cli options, reg *obs.Registry, rep *obs.Report) error {
 	return nil
 }
 
+// sweepDone prints and records a finished sweep and maps its error to
+// the run's: a stall keeps exit code 5, a cancellation is operational,
+// and anything else refutes the named invariant.
+func sweepDone(cfg explore.SnapshotConfig, rep *obs.Report, sweep explore.SweepResult, start time.Time, invariant string, err error) error {
+	report(sweep, start)
+	rep.Section("sweep", sectionOf(sweep))
+	switch {
+	case err == nil:
+		return nil
+	case errors.Is(err, explore.ErrStalled):
+		return exitcode.WithCode(exitcode.Stalled, err)
+	case errors.Is(err, explore.ErrCanceled):
+		return canceledError(cfg.Checkpoint)
+	default:
+		return exitcode.Violated(invariant, err)
+	}
+}
+
 // canceledError renders a cancellation (first SIGINT) as an operational
 // error, not a violation: the run was cut short, nothing was refuted.
-// %.0w wraps ErrCanceled without repeating its message, so the ledger
-// can still classify the outcome with errors.Is.
-func canceledError(cli options) error {
-	if cli.checkpoint != "" {
-		return fmt.Errorf("run canceled; checkpoint saved under %s — rerun with -resume %s to continue%.0w", cli.checkpoint, cli.checkpoint, explore.ErrCanceled)
+// %.0w wraps ErrCanceled without repeating its message, so the run
+// record can still classify the outcome with errors.Is.
+func canceledError(checkpoint string) error {
+	if checkpoint != "" {
+		return fmt.Errorf("run canceled; checkpoint saved under %s — rerun with -resume %s to continue%.0w", checkpoint, checkpoint, explore.ErrCanceled)
 	}
 	return fmt.Errorf("run canceled (no -checkpoint dir; progress was not saved)%.0w", explore.ErrCanceled)
 }

@@ -44,6 +44,23 @@ type campaignSpec struct {
 	trace                  *span.Tracer
 }
 
+// campaignConfig is a campaign's report config: the sweep matrix (each
+// job resolves its own M, step budget and crash seed from it, as a
+// single run does) and the resolved worker count.
+type campaignConfig struct {
+	Algos        []string `json:"algos"`
+	Ns           string   `json:"ns"`
+	Wirings      []string `json:"wirings"`
+	Schedulers   []string `json:"schedulers"`
+	CrashBudgets string   `json:"crashBudgets"`
+	Seeds        int      `json:"seeds"`
+	Seed         int64    `json:"seed"`
+	Registers    int      `json:"registers"`
+	Steps        int      `json:"steps"`
+	Nondet       bool     `json:"nondet"`
+	Workers      int      `json:"workers"`
+}
+
 // campaignJob is one cell x seed of the matrix.
 type campaignJob struct {
 	algo, wiring, sch string
@@ -260,6 +277,11 @@ func runCampaign(spec campaignSpec, reg *obs.Registry, rep *obs.Report) error {
 	}
 	if workers > len(jobs) {
 		workers = len(jobs)
+	}
+	rep.Config = campaignConfig{
+		Algos: spec.algos, Ns: spec.nsCSV, Wirings: spec.wirings, Schedulers: spec.scheds,
+		CrashBudgets: spec.budgets, Seeds: spec.seeds, Seed: spec.baseSeed,
+		Registers: spec.registers, Steps: spec.steps, Nondet: spec.nondet, Workers: workers,
 	}
 
 	sweepSpan := spec.trace.StartArgs("campaign", "campaign sweep", map[string]any{

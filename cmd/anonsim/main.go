@@ -9,8 +9,12 @@
 // step as JSONL; -http ADDR serves live metrics (/metrics) and pprof
 // (/debug/pprof/) while the simulation runs. -trace-file FILE records
 // the run as Chrome trace_event JSON (crash injections appear as
-// instant events), and -ledger FILE appends a run-history entry that
-// cmd/figures -trend reads back as a trajectory.
+// instant events), and -ledger FILE appends the run's report as one
+// JSONL line to a run history. Every report carries a "config" — the
+// single run's resolved system and adversary (M, step budget, effective
+// crash seed), or a campaign's sweep matrix — plus the outcome, the
+// completion time and provenance (Go version, GOOS/GOARCH, GOMAXPROCS,
+// NumCPU, VCS revision).
 //
 // Examples:
 //
@@ -36,6 +40,7 @@
 package main
 
 import (
+	"cmp"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -50,9 +55,9 @@ import (
 	"anonshm/internal/exitcode"
 	"anonshm/internal/machine"
 	"anonshm/internal/obs"
-	"anonshm/internal/obs/ledger"
 	"anonshm/internal/obs/span"
 	"anonshm/internal/renaming"
+	"anonshm/internal/runrec"
 	"anonshm/internal/sched"
 	"anonshm/internal/trace"
 	"anonshm/internal/view"
@@ -72,11 +77,11 @@ func main() {
 		showTrace  = flag.Bool("trace", false, "print the execution trace")
 		nondet     = flag.Bool("nondet", false, "expose the algorithms' internal register choices to the scheduler")
 		jsonOut    = flag.Bool("json", false, "print the run outcome as a single JSON object instead of prose")
-		reportPath = flag.String("report", "", "write a JSON metrics report to this file")
+		reportPath = flag.String("report", "", "write the run's JSON report to this file")
 		eventsPath = flag.String("events", "", "stream every executed step to this file as JSONL")
 		httpAddr   = flag.String("http", "", "serve live metrics (/metrics) and pprof (/debug/pprof/) on this address during the run")
 		tracePath  = flag.String("trace-file", "", "write a Chrome trace_event JSON trace of the run to this file (load in Perfetto)")
-		ledgerPath = flag.String("ledger", "", "append a run-history entry to this JSONL ledger (conventionally "+ledger.DefaultPath+")")
+		ledgerPath = flag.String("ledger", "", "append the run's report as one line to this JSONL ledger (conventionally "+obs.DefaultLedger+")")
 
 		campaign    = flag.Bool("campaign", false, "run a Monte-Carlo campaign: sweep seeds x schedulers x N x wirings x crash budgets in parallel, validating every run")
 		campAlgos   = flag.String("algos", "snapshot,renaming", "campaign: comma-separated algorithms to sweep")
@@ -88,43 +93,21 @@ func main() {
 		campWorkers = flag.Int("workers", 0, "campaign: parallel workers (0 = GOMAXPROCS)")
 	)
 	flag.Parse()
-	reg := obs.New()
-	if *httpAddr != "" {
-		addr, err := obs.Serve(*httpAddr, reg)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "anonsim:", err)
-			os.Exit(exitcode.Usage)
-		}
-		fmt.Fprintf(os.Stderr, "anonsim: serving metrics on http://%s/metrics (pprof on /debug/pprof/)\n", addr)
-	}
-	var sink *obs.Sink
-	if *eventsPath != "" {
-		f, err := os.Create(*eventsPath)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "anonsim:", err)
-			os.Exit(exitcode.Usage)
-		}
-		defer f.Close()
-		sink = obs.NewSink(f)
-	}
-	var tr *span.Tracer
-	var traceFile *os.File
-	if *tracePath != "" {
-		f, err := os.Create(*tracePath)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "anonsim:", err)
-			os.Exit(exitcode.Usage)
-		}
-		traceFile, tr = f, span.New(f)
+	rec, err := runrec.Start("anonsim", os.Args[1:], runrec.Outputs{
+		HTTP: *httpAddr, Trace: *tracePath, Events: *eventsPath,
+		Report: *reportPath, Ledger: *ledgerPath,
+	})
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "anonsim:", err)
+		os.Exit(exitcode.Usage)
 	}
 	cli := options{
 		algo: *algo, inputsCSV: *inputsCSV, registers: *registers,
 		schedName: *schedName, wiring: *wiring, seed: *seed, steps: *steps,
 		crashes: *crashes, crashSeed: *crashSeed,
 		showTrace: *showTrace, nondet: *nondet, jsonOut: *jsonOut,
-		trace: tr,
+		trace: rec.Tracer,
 	}
-	rep := obs.NewReport("anonsim", os.Args[1:])
 	var runErr error
 	if *campaign {
 		spec := campaignSpec{
@@ -132,77 +115,13 @@ func main() {
 			scheds: splitCSV(*campScheds), budgets: *campBudgets,
 			nsCSV: *campNs, seeds: *campSeeds, workers: *campWorkers,
 			baseSeed: cli.seed, registers: cli.registers, nondet: cli.nondet,
-			steps: cli.steps, jsonOut: cli.jsonOut, trace: tr,
+			steps: cli.steps, jsonOut: cli.jsonOut, trace: rec.Tracer,
 		}
-		runErr = runCampaign(spec, reg, rep)
+		runErr = runCampaign(spec, rec.Reg, rec.Report)
 	} else {
-		runErr = run(cli, reg, sink, rep)
+		runErr = run(cli, rec.Reg, rec.Events, rec.Report)
 	}
-	if sink != nil && runErr == nil {
-		runErr = sink.Err()
-	}
-	if tr != nil {
-		rep.Section("trace", map[string]any{"file": *tracePath, "phases": tr.PhaseSeconds()})
-		if err := tr.Close(); err != nil {
-			fmt.Fprintln(os.Stderr, "anonsim:", err)
-			if runErr == nil {
-				runErr = err
-			}
-		} else {
-			fmt.Fprintf(os.Stderr, "anonsim: wrote trace to %s\n", *tracePath)
-		}
-		if err := traceFile.Close(); err != nil && runErr == nil {
-			runErr = err
-		}
-	}
-	if *ledgerPath != "" {
-		e := ledger.Entry{
-			Tool:    "anonsim",
-			Check:   cli.algo,
-			Config:  ledger.ConfigFromArgs(rep.Args),
-			Outcome: simOutcome(runErr),
-		}
-		if *campaign {
-			e.Check = "campaign"
-		}
-		if out, ok := rep.Sections["run"].(runOutcome); ok {
-			e.Steps = int64(out.Steps)
-			if out.CrashSeed != 0 {
-				// Record the effective crash seed: it is now derived from
-				// -seed by a splitmix64 split (historically seed+1, which
-				// collided with the next seed's scheduler stream), so old
-				// and new entries of one sweep must not share a trajectory.
-				e.Config["crash-seed"] = fmt.Sprint(out.CrashSeed)
-			}
-		}
-		if out, ok := rep.Sections["campaign"].(campaignOutcome); ok {
-			e.Steps = out.TotalSteps
-		}
-		if tr != nil {
-			e.Phases = tr.PhaseSeconds()
-		}
-		if err := ledger.Append(*ledgerPath, e); err != nil {
-			fmt.Fprintln(os.Stderr, "anonsim:", err)
-			if runErr == nil {
-				runErr = err
-			}
-		}
-	}
-	if *reportPath != "" {
-		if runErr != nil {
-			rep.Section("error", runErr.Error())
-		}
-		rep.AddMetrics(reg)
-		if err := rep.WriteFile(*reportPath); err != nil {
-			fmt.Fprintln(os.Stderr, "anonsim:", err)
-			os.Exit(exitcode.Error)
-		}
-		fmt.Fprintf(os.Stderr, "anonsim: wrote report to %s\n", *reportPath)
-	}
-	if runErr != nil {
-		fmt.Fprintln(os.Stderr, "anonsim:", exitcode.Summary(runErr))
-		os.Exit(exitcode.Code(runErr))
-	}
+	os.Exit(rec.Finish(runErr))
 }
 
 type options struct {
@@ -221,16 +140,40 @@ type options struct {
 	trace     *span.Tracer
 }
 
-// simOutcome classifies a run error for the ledger's outcome column.
-func simOutcome(err error) string {
-	switch {
-	case err == nil:
-		return "ok"
-	case exitcode.Code(err) == exitcode.Violation:
-		return "violation"
-	default:
-		return "error"
+// simConfig is a single run's report config: the simulated system and
+// adversary with every default resolved — M, the step budget and the
+// effective crash seed — so runs with equal configs replay the same
+// execution.
+type simConfig struct {
+	Algo      string   `json:"algo"`
+	Inputs    []string `json:"inputs"`
+	M         int      `json:"m"`
+	Sched     string   `json:"sched"`
+	Wiring    string   `json:"wiring"`
+	Seed      int64    `json:"seed"`
+	Steps     int      `json:"steps"`
+	Crashes   int      `json:"crashes"`
+	CrashSeed int64    `json:"crashSeed,omitempty"`
+	Nondet    bool     `json:"nondet"`
+}
+
+// config resolves the run's config from its options.
+func (cli options) config() simConfig {
+	inputs := strings.Split(cli.inputsCSV, ",")
+	n := len(inputs)
+	c := simConfig{
+		Algo: cli.algo, Inputs: inputs, M: cmp.Or(cli.registers, n),
+		Sched: cli.schedName, Wiring: cli.wiring, Seed: cli.seed,
+		Crashes: cli.crashes, Nondet: cli.nondet,
 	}
+	c.Steps = stepBudget(cli.algo, cli.steps, n, c.M)
+	if cli.crashes > 0 {
+		// Derived, not seed+1: the old rule made -seed k's crash stream
+		// the exact generator state of -seed k+1's scheduler stream,
+		// correlating consecutive runs of a seed sweep.
+		c.CrashSeed = cmp.Or(cli.crashSeed, sched.SplitSeed(cli.seed, sched.StreamCrash))
+	}
+	return c
 }
 
 // procOutcome is one processor's result, shared between -json output and
@@ -329,14 +272,11 @@ func stepBudget(algo string, steps, n, m int) int {
 }
 
 func run(cli options, reg *obs.Registry, sink *obs.Sink, rep *obs.Report) error {
-	inputs := strings.Split(cli.inputsCSV, ",")
-	n := len(inputs)
-	if n == 0 || inputs[0] == "" {
+	cfg := cli.config()
+	rep.Config = cfg
+	inputs, n, m := cfg.Inputs, len(cfg.Inputs), cfg.M
+	if inputs[0] == "" {
 		return fmt.Errorf("no inputs")
-	}
-	m := cli.registers
-	if m == 0 {
-		m = n
 	}
 	rng := rand.New(rand.NewSource(cli.seed))
 	sys, in, ids, err := buildSystem(cli.algo, cli.wiring, inputs, m, cli.nondet, rng)
@@ -348,19 +288,9 @@ func run(cli options, reg *obs.Registry, sink *obs.Sink, rep *obs.Report) error 
 	if err != nil {
 		return err
 	}
-	cseed := int64(0)
 	if cli.crashes > 0 {
-		cseed = cli.crashSeed
-		if cseed == 0 {
-			// Derived, not seed+1: the old rule made -seed k's crash
-			// stream the exact generator state of -seed k+1's scheduler
-			// stream, correlating consecutive runs of a seed sweep.
-			cseed = sched.SplitSeed(cli.seed, sched.StreamCrash)
-		}
-		scheduler = sched.NewCrasher(scheduler, cli.crashes, cseed)
+		scheduler = sched.NewCrasher(scheduler, cli.crashes, cfg.CrashSeed)
 	}
-
-	budget := stepBudget(cli.algo, cli.steps, n, m)
 
 	var rec *trace.Recorder
 	if cli.showTrace {
@@ -391,7 +321,7 @@ func run(cli options, reg *obs.Registry, sink *obs.Sink, rep *obs.Report) error 
 	}
 	runSpan := cli.trace.StartArgs("run", "simulate "+cli.algo,
 		map[string]any{"algo": cli.algo, "sched": cli.schedName, "n": n, "m": m})
-	res, err := sched.Run(sys, scheduler, budget, observer)
+	res, err := sched.Run(sys, scheduler, cfg.Steps, observer)
 	runSpan.End()
 	if err != nil {
 		return err
@@ -399,7 +329,7 @@ func run(cli options, reg *obs.Registry, sink *obs.Sink, rep *obs.Report) error 
 
 	out := runOutcome{
 		Algorithm: cli.algo, N: n, M: m,
-		Scheduler: cli.schedName, Wiring: cli.wiring, Seed: cli.seed, CrashSeed: cseed,
+		Scheduler: cli.schedName, Wiring: cli.wiring, Seed: cli.seed, CrashSeed: cfg.CrashSeed,
 		Steps: res.Steps, Crashes: res.Crashes, Stop: res.Reason.String(), AllDone: true,
 		Registers: inst.RegisterAccess(),
 	}

@@ -23,7 +23,19 @@ func runLoad(paths []string) error {
 		if err != nil {
 			return err
 		}
-		fmt.Printf("== %s — %s %s\n\n", path, rep.Tool, strings.Join(rep.Args, " "))
+		fmt.Printf("== %s — %s %s\n", path, rep.Tool, strings.Join(rep.Args, " "))
+		if rep.Outcome != "" {
+			fmt.Printf("outcome %s at %s\n", rep.Outcome, orDash(rep.Time))
+		}
+		if p := rep.Provenance; p != nil {
+			fmt.Printf("provenance %s\n", provenanceLine(p))
+		}
+		fmt.Println()
+		if rep.Config != nil {
+			fmt.Printf("[config]\n")
+			fmt.Print(renderSection(rep.Config))
+			fmt.Println()
+		}
 		names := make([]string, 0, len(rep.Sections))
 		for name := range rep.Sections {
 			names = append(names, name)
@@ -40,6 +52,18 @@ func runLoad(paths []string) error {
 		}
 	}
 	return nil
+}
+
+// provenanceLine renders a report's provenance on one line.
+func provenanceLine(p *obs.Provenance) string {
+	line := fmt.Sprintf("%s %s/%s gomaxprocs=%d numCPU=%d", p.GoVersion, p.GOOS, p.GOARCH, p.GOMAXPROCS, p.NumCPU)
+	if p.Revision != "" {
+		line += " revision=" + p.Revision
+		if p.Modified {
+			line += " (modified)"
+		}
+	}
+	return line
 }
 
 // renderSection renders one report section. JSON objects become sorted

@@ -7,44 +7,48 @@ import (
 
 	"anonshm/internal/exitcode"
 	"anonshm/internal/obs"
-	"anonshm/internal/obs/ledger"
 	"anonshm/internal/trace"
 )
 
 // runTrend renders run-history trajectories: each path is either a
-// JSONL ledger (internal/obs/ledger) or a single -report JSON file
-// (e.g. the committed BENCH_*.json history), sniffed per file. Entries
-// with the same tool, check and config form one trajectory in the
-// order given. When the latest entry of a trajectory has a states/sec
-// below threshold × the median of the earlier entries, the run is
-// flagged and the returned error carries exitcode.Regression.
+// JSONL ledger or a single -report JSON file (e.g. the committed
+// BENCH_*.json history), sniffed per file; both hold reports, and every
+// report goes through the one projection, trendPointOf. Reports with the
+// same tool and resolved config form one trajectory in the order given.
+// When the latest run of a trajectory has a states/sec below threshold ×
+// the median of the earlier runs, the run is flagged and the returned
+// error carries exitcode.Regression.
 func runTrend(paths []string, threshold float64) error {
-	var entries []ledger.Entry
+	var points []trendPoint
 	for _, path := range paths {
-		es, err := loadTrend(path)
+		reps, err := loadTrend(path)
 		if err != nil {
 			return err
 		}
-		entries = append(entries, es...)
+		for _, rep := range reps {
+			if p, ok := trendPointOf(rep); ok {
+				points = append(points, p)
+			}
+		}
 	}
-	if len(entries) == 0 {
+	if len(points) == 0 {
 		return fmt.Errorf("no trend entries in %s", strings.Join(paths, ", "))
 	}
-	groups, order := groupEntries(entries)
+	groups, order := groupPoints(points)
 	for _, key := range order {
 		fmt.Printf("== %s\n\n", key)
 		rows := make([][]string, 0, len(groups[key]))
-		for _, e := range groups[key] {
+		for _, p := range groups[key] {
 			rows = append(rows, []string{
-				orDash(e.Time), formatFloat(float64(e.States)),
-				fmt.Sprintf("%.0f", e.StatesPerSec), fmt.Sprintf("%.3gs", e.WallSeconds),
-				orDash(e.Outcome), phaseSummary(e.Phases),
+				orDash(p.time), formatFloat(p.states),
+				fmt.Sprintf("%.0f", p.statesPerSec), fmt.Sprintf("%.3gs", p.wallSeconds),
+				orDash(p.outcome), phaseSummary(p.phases),
 			})
 		}
 		fmt.Print(trace.Table([]string{"time", "states", "states/sec", "wall", "outcome", "phases"}, rows))
 		fmt.Println()
 	}
-	regs := trendRegressions(entries, threshold)
+	regs := trendRegressions(points, threshold)
 	if len(regs) == 0 {
 		return nil
 	}
@@ -57,29 +61,81 @@ func runTrend(paths []string, threshold float64) error {
 		fmt.Errorf("throughput regression:\n  %s", strings.Join(msgs, "\n  ")))
 }
 
-// loadTrend reads one history file: a report JSON becomes one entry
-// (when it has sweep totals), anything else is read as a ledger.
-func loadTrend(path string) ([]ledger.Entry, error) {
-	if rep, err := obs.ReadReportFile(path); err == nil && len(rep.Sections) > 0 {
-		if e, ok := ledger.FromReport(rep); ok {
-			return []ledger.Entry{e}, nil
-		}
-		return nil, nil
+// loadTrend reads one history file: a single report JSON, or else a
+// ledger of report lines.
+func loadTrend(path string) ([]*obs.Report, error) {
+	if rep, err := obs.ReadReportFile(path); err == nil {
+		return []*obs.Report{rep}, nil
 	}
-	return ledger.Read(path)
+	return obs.ReadLedger(path)
 }
 
-// groupEntries buckets entries by configuration key, preserving the
-// order keys first appear.
-func groupEntries(entries []ledger.Entry) (map[string][]ledger.Entry, []string) {
-	groups := map[string][]ledger.Entry{}
-	var order []string
-	for _, e := range entries {
-		k := e.Key()
-		if _, ok := groups[k]; !ok {
-			order = append(order, k)
+// trendPoint is one run of a trajectory.
+type trendPoint struct {
+	key, time, outcome                string
+	states, statesPerSec, wallSeconds float64
+	phases                            map[string]float64
+}
+
+// trendPointOf projects a report read back from a file onto its trend
+// point: the key is the tool plus the resolved config, the figures come
+// from the sweep section and the traced phases. Reports without a
+// config (written before reports carried one) or without sweep totals
+// (anonsim runs) have no throughput trajectory.
+func trendPointOf(rep *obs.Report) (trendPoint, bool) {
+	config, _ := rep.Config.(map[string]any)
+	sweep, _ := rep.Sections["sweep"].(map[string]any)
+	if len(config) == 0 || sweep == nil {
+		return trendPoint{}, false
+	}
+	num := func(key string) float64 {
+		f, _ := sweep[key].(float64)
+		return f
+	}
+	p := trendPoint{
+		key: configKey(rep.Tool, config), time: rep.Time, outcome: rep.Outcome,
+		states: num("totalStates"), statesPerSec: num("statesPerSec"), wallSeconds: num("wallSeconds"),
+	}
+	tr, _ := rep.Sections["trace"].(map[string]any)
+	phases, _ := tr["phases"].(map[string]any)
+	for k, v := range phases {
+		if p.phases == nil {
+			p.phases = map[string]float64{}
 		}
-		groups[k] = append(groups[k], e)
+		p.phases[k], _ = v.(float64)
+	}
+	return p, p.states > 0
+}
+
+// configKey renders a trajectory's identity: the tool and its config's
+// fields in sorted key order.
+func configKey(tool string, config map[string]any) string {
+	keys := make([]string, 0, len(config))
+	for k := range config {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	parts := []string{tool}
+	for _, k := range keys {
+		v, ok := config[k].(string)
+		if !ok {
+			v = compactJSON(config[k])
+		}
+		parts = append(parts, k+"="+v)
+	}
+	return strings.Join(parts, " ")
+}
+
+// groupPoints buckets points by key, preserving the order keys first
+// appear.
+func groupPoints(points []trendPoint) (map[string][]trendPoint, []string) {
+	groups := map[string][]trendPoint{}
+	var order []string
+	for _, p := range points {
+		if _, ok := groups[p.key]; !ok {
+			order = append(order, p.key)
+		}
+		groups[p.key] = append(groups[p.key], p)
 	}
 	return groups, order
 }
@@ -97,30 +153,30 @@ type trendRegression struct {
 // below threshold × median of the earlier successful runs. A trajectory
 // needs at least two comparable priors — a single prior says nothing
 // about variance. A threshold of 0 disables the check.
-func trendRegressions(entries []ledger.Entry, threshold float64) []trendRegression {
+func trendRegressions(points []trendPoint, threshold float64) []trendRegression {
 	if threshold <= 0 {
 		return nil
 	}
-	groups, order := groupEntries(entries)
+	groups, order := groupPoints(points)
 	var out []trendRegression
 	for _, key := range order {
-		es := groups[key]
-		latest := es[len(es)-1]
-		if latest.StatesPerSec <= 0 {
+		ps := groups[key]
+		latest := ps[len(ps)-1]
+		if latest.statesPerSec <= 0 {
 			continue
 		}
 		var rates []float64
-		for _, e := range es[:len(es)-1] {
-			if e.StatesPerSec > 0 && (e.Outcome == "" || e.Outcome == "ok") {
-				rates = append(rates, e.StatesPerSec)
+		for _, p := range ps[:len(ps)-1] {
+			if p.statesPerSec > 0 && (p.outcome == "" || p.outcome == "ok") {
+				rates = append(rates, p.statesPerSec)
 			}
 		}
 		if len(rates) < 2 {
 			continue
 		}
 		m := median(rates)
-		if latest.StatesPerSec < threshold*m {
-			out = append(out, trendRegression{Key: key, Latest: latest.StatesPerSec, Median: m, Priors: len(rates)})
+		if latest.statesPerSec < threshold*m {
+			out = append(out, trendRegression{Key: key, Latest: latest.statesPerSec, Median: m, Priors: len(rates)})
 		}
 	}
 	return out

@@ -147,13 +147,70 @@ type SnapshotConfig struct {
 	CheckpointEvery int
 	// Resume restarts a sweep from a Checkpoint directory: completed
 	// wirings are skipped, the in-flight one resumes mid-run, and
-	// accumulation continues into the restored totals. The sweep identity
-	// (check, engine, symmetry, inputs, nondet, crashes) must match or the
-	// load fails with a *CheckpointMismatchError.
+	// accumulation continues into the restored totals. The sweep's
+	// Identity must match the checkpoint's or the load fails with a
+	// *CheckpointMismatchError naming the first differing field.
 	Resume string
 	// Cancel, when closed, stops the sweep at the next state boundary with
 	// ErrCanceled (after a final checkpoint when Checkpoint is set).
 	Cancel <-chan struct{}
+}
+
+// Identity is the resolved search a SnapshotConfig check runs: every
+// field that decides which states are explored and how they are judged,
+// with defaults filled in (Level 0 is N, MaxStates 0 is
+// DefaultMaxStates, and the waitfree check's solo bound is derived when
+// unset). Sweep checkpoints resume only under an equal Identity, and
+// the binaries' run reports record it as their config, so two runs are
+// comparable exactly when their identities are equal. Execution choices
+// that leave the search unchanged (workers, store tier, checkpoints,
+// observability) are not part of it.
+type Identity struct {
+	Check     string   `json:"check"`
+	Inputs    []string `json:"inputs"`
+	Nondet    bool     `json:"nondet"`
+	Wirings   string   `json:"wirings"`
+	Symmetry  string   `json:"symmetry"`
+	Crashes   int      `json:"crashes"`
+	Level     int      `json:"level"`
+	MaxStates int      `json:"maxStates"`
+	SoloBound int      `json:"soloBound,omitempty"`
+	Engine    string   `json:"engine"`
+}
+
+// Identity returns the resolved identity of check ("safety",
+// "waitfree", ...) run under c.
+func (c SnapshotConfig) Identity(check string) Identity {
+	id := Identity{
+		Check:     check,
+		Inputs:    c.Inputs,
+		Nondet:    c.Nondet,
+		Wirings:   c.Wirings.String(),
+		Symmetry:  c.Symmetry.Canonicalizer().String(),
+		Crashes:   c.MaxCrashes,
+		Level:     c.Level,
+		MaxStates: c.MaxStates,
+		Engine:    c.Engine.String(),
+	}
+	if id.Level == 0 {
+		id.Level = len(c.Inputs)
+	}
+	if id.MaxStates <= 0 {
+		id.MaxStates = DefaultMaxStates
+	}
+	if check == "waitfree" {
+		id.SoloBound = c.soloBound()
+	}
+	return id
+}
+
+// soloBound is the waitfree check's solo-step budget: SoloBound, or
+// DefaultSoloBound for the configuration when unset.
+func (c SnapshotConfig) soloBound() int {
+	if c.SoloBound > 0 {
+		return c.SoloBound
+	}
+	return DefaultSoloBound(len(c.Inputs), registersFor(c))
 }
 
 // options assembles the per-wiring exploration options.
@@ -231,10 +288,7 @@ func CheckSnapshotSafety(c SnapshotConfig) (SweepResult, error) {
 // ParallelEngine runs the invariant form only.
 func CheckSnapshotWaitFree(c SnapshotConfig) (SweepResult, error) {
 	var sweep SweepResult
-	bound := c.SoloBound
-	if bound <= 0 {
-		bound = DefaultSoloBound(len(c.Inputs), registersFor(c))
-	}
+	bound := c.soloBound()
 	err := c.runSweep("waitfree", &sweep, func(perms [][]int, opts Options) (Result, error) {
 		sys, _, err := c.system(perms)
 		if err != nil {

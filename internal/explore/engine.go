@@ -92,6 +92,19 @@ func (e *UnsupportedOptionError) Error() string {
 	return msg
 }
 
+// Workers resolves a requested worker count for e: DFSEngine always
+// runs one worker; ParallelEngine runs n, or GOMAXPROCS when n is 0,
+// capped at the packed node id's worker limit.
+func (e Engine) Workers(n int) int {
+	if e != ParallelEngine {
+		return 1
+	}
+	if n <= 0 {
+		n = runtime.GOMAXPROCS(0)
+	}
+	return min(n, maxParallelWorkers)
+}
+
 // Run is the single entry point for exhaustive exploration: it validates
 // opts against the selected engine and storage tier, binds the store
 // (visited set, frontier factory, checkpoint trigger), dispatches, and
@@ -119,16 +132,7 @@ func Run(init *machine.System, opts Options) (Result, error) {
 
 	// Resolve the worker count up front: the store splits its frontier
 	// memory budget per worker, and node ids pack the worker index.
-	nw := 1
-	if engine == ParallelEngine {
-		nw = opts.Workers
-		if nw <= 0 {
-			nw = runtime.GOMAXPROCS(0)
-		}
-		if nw > maxParallelWorkers {
-			nw = maxParallelWorkers
-		}
-	}
+	nw := engine.Workers(opts.Workers)
 	opts.Workers = nw
 
 	// The checkpoint identity: which run a checkpoint belongs to. The

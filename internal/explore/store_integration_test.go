@@ -451,3 +451,64 @@ func TestSweepResumeMismatchRejected(t *testing.T) {
 		t.Errorf("resume of completed sweep reran work: %+v, want %+v", got, ref)
 	}
 }
+
+// TestSweepResumeIdentity: a sweep checkpoint pins the whole resolved
+// Identity, not just part of it. A complete FilterAll sweep (4 wirings)
+// resumed under FilterOrbits, a different state bound or a different
+// termination level would otherwise skip every wiring and report the
+// checkpoint's totals as the requested search's; each must instead fail
+// naming the differing field. A sweep.json of the previous format,
+// which recorded only part of the identity, is refused by version.
+func TestSweepResumeIdentity(t *testing.T) {
+	base := SnapshotConfig{Inputs: []string{"a", "b"}, Nondet: true, Wirings: FilterAll}
+	dir := t.TempDir()
+	ck := base
+	ck.Checkpoint = dir
+	if _, err := CheckSnapshotSafety(ck); err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		field  string
+		change func(*SnapshotConfig)
+	}{
+		{"wirings", func(c *SnapshotConfig) { c.Wirings = FilterOrbits }},
+		{"maxStates", func(c *SnapshotConfig) { c.MaxStates = 100 }},
+		{"level", func(c *SnapshotConfig) { c.Level = 3 }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.field, func(t *testing.T) {
+			bad := base
+			bad.Resume = dir
+			tc.change(&bad)
+			got, err := CheckSnapshotSafety(bad)
+			var me *CheckpointMismatchError
+			if !errors.As(err, &me) {
+				t.Fatalf("resume succeeded with %d wirings, %d states (err = %v), want *CheckpointMismatchError", got.Wirings, got.TotalStates, err)
+			}
+			if me.Field != tc.field {
+				t.Errorf("mismatch on field %q, want %q", me.Field, tc.field)
+			}
+		})
+	}
+	// Level 0 resolves to N: the same search, so the resume is a no-op.
+	same := base
+	same.Resume = dir
+	same.Level = len(base.Inputs)
+	if got, err := CheckSnapshotSafety(same); err != nil || got.Wirings != 4 {
+		t.Fatalf("resume under the resolved default level: %+v, err = %v", got, err)
+	}
+
+	t.Run("version", func(t *testing.T) {
+		old := t.TempDir()
+		blob := `{"version":1,"check":"safety","engine":"dfs","symmetry":"none","inputs":["a","b"],"nondet":true,"maxCrashes":0,"completed":4}`
+		if err := os.WriteFile(sweepMetaPath(old), []byte(blob), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		bad := base
+		bad.Resume = old
+		_, err := CheckSnapshotSafety(bad)
+		if err == nil || !strings.Contains(err.Error(), "version 1") {
+			t.Fatalf("resume of a version-1 sweep.json: err = %v, want the version error", err)
+		}
+	})
+}

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
+	"strings"
 
 	"anonshm/internal/obs"
 	"anonshm/internal/store"
@@ -14,9 +16,9 @@ import (
 // CheckSnapshotWaitFree) is many independent Run calls; its checkpoint
 // directory layers on top of the per-run format:
 //
-//	<dir>/sweep.json — sweep identity (check, engine, symmetry, inputs),
-//	                   the number of wirings fully explored, and the
-//	                   accumulated SweepResult
+//	<dir>/sweep.json — the sweep's resolved Identity, the number of
+//	                   wirings fully explored, and the accumulated
+//	                   SweepResult
 //	<dir>/run        — a per-run checkpoint (store.WriteCheckpoint) of
 //	                   the wiring in flight, removed when it completes
 //
@@ -28,19 +30,17 @@ import (
 // wiring.
 
 // sweepMetaVersion versions sweep.json alongside store.MetaVersion.
-const sweepMetaVersion = 1
+// Version 2 records the whole resolved Identity; version 1 recorded
+// only part of it, so a version-1 file is refused rather than matched
+// on the fields it happens to carry.
+const sweepMetaVersion = 2
 
 // sweepCheckpoint is the sweep.json document.
 type sweepCheckpoint struct {
-	Version    int         `json:"version"`
-	Check      string      `json:"check"`
-	Engine     string      `json:"engine"`
-	Symmetry   string      `json:"symmetry"`
-	Inputs     []string    `json:"inputs"`
-	Nondet     bool        `json:"nondet"`
-	MaxCrashes int         `json:"maxCrashes"`
-	Completed  int         `json:"completed"`
-	Sweep      SweepResult `json:"sweep"`
+	Version   int         `json:"version"`
+	Search    Identity    `json:"search"`
+	Completed int         `json:"completed"`
+	Sweep     SweepResult `json:"sweep"`
 }
 
 func sweepMetaPath(dir string) string { return filepath.Join(dir, "sweep.json") }
@@ -49,51 +49,39 @@ func sweepMetaPath(dir string) string { return filepath.Join(dir, "sweep.json") 
 // checkpoint.
 func sweepRunDir(dir string) string { return filepath.Join(dir, "run") }
 
-// sweepID builds the identity half of a sweep checkpoint.
-func (c SnapshotConfig) sweepID(check string) sweepCheckpoint {
-	return sweepCheckpoint{
-		Version:    sweepMetaVersion,
-		Check:      check,
-		Engine:     c.Engine.String(),
-		Symmetry:   c.Symmetry.Canonicalizer().String(),
-		Inputs:     c.Inputs,
-		Nondet:     c.Nondet,
-		MaxCrashes: c.MaxCrashes,
-	}
-}
-
-// loadSweepCheckpoint reads and validates <c.Resume>/sweep.json.
-func loadSweepCheckpoint(c SnapshotConfig, check string) (*sweepCheckpoint, error) {
-	blob, err := os.ReadFile(sweepMetaPath(c.Resume))
+// loadSweepCheckpoint reads <dir>/sweep.json and checks that it records
+// the identity id the resuming sweep requests.
+func loadSweepCheckpoint(dir string, id Identity) (*sweepCheckpoint, error) {
+	blob, err := os.ReadFile(sweepMetaPath(dir))
 	if err != nil {
 		return nil, fmt.Errorf("explore: resume: %w", err)
 	}
 	var sc sweepCheckpoint
 	if err := json.Unmarshal(blob, &sc); err != nil {
-		return nil, fmt.Errorf("explore: resume: %s: %w", sweepMetaPath(c.Resume), err)
+		return nil, fmt.Errorf("explore: resume: %s: %w", sweepMetaPath(dir), err)
 	}
 	if sc.Version != sweepMetaVersion {
 		return nil, fmt.Errorf("explore: resume: sweep checkpoint has version %d; this build reads version %d", sc.Version, sweepMetaVersion)
 	}
-	id := c.sweepID(check)
-	mismatch := func(field, ck, req string) error {
-		return &CheckpointMismatchError{Field: field, Checkpoint: ck, Requested: req}
-	}
-	switch {
-	case sc.Check != id.Check:
-		return nil, mismatch("check", sc.Check, id.Check)
-	case sc.Engine != id.Engine:
-		return nil, mismatch("engine", sc.Engine, id.Engine)
-	case sc.Symmetry != id.Symmetry:
-		return nil, mismatch("symmetry", sc.Symmetry, id.Symmetry)
-	case fmt.Sprint(sc.Inputs) != fmt.Sprint(id.Inputs):
-		return nil, mismatch("inputs", fmt.Sprint(sc.Inputs), fmt.Sprint(id.Inputs))
-	case sc.Nondet != id.Nondet:
-		return nil, mismatch("nondet", fmt.Sprint(sc.Nondet), fmt.Sprint(id.Nondet))
-	case sc.MaxCrashes != id.MaxCrashes:
-		return nil, mismatch("maxCrashes", fmt.Sprint(sc.MaxCrashes), fmt.Sprint(id.MaxCrashes))
+	if err := identityMismatch(sc.Search, id); err != nil {
+		return nil, err
 	}
 	return &sc, nil
+}
+
+// identityMismatch reports the first Identity field on which a
+// checkpoint and a request differ, named by its JSON key.
+func identityMismatch(ck, req Identity) error {
+	a, b := reflect.ValueOf(ck), reflect.ValueOf(req)
+	for i := 0; i < a.NumField(); i++ {
+		if reflect.DeepEqual(a.Field(i).Interface(), b.Field(i).Interface()) {
+			continue
+		}
+		name, _, _ := strings.Cut(a.Type().Field(i).Tag.Get("json"), ",")
+		return &CheckpointMismatchError{Field: name,
+			Checkpoint: fmt.Sprint(a.Field(i)), Requested: fmt.Sprint(b.Field(i))}
+	}
+	return nil
 }
 
 // writeSweepCheckpoint atomically rewrites <dir>/sweep.json — through
@@ -122,9 +110,10 @@ func (c SnapshotConfig) runSweep(check string, sweep *SweepResult, body func(per
 		map[string]any{"check": check, "engine": c.Engine.String(),
 			"symmetry": c.Symmetry.Canonicalizer().String()})
 	defer sweepSpan.End()
+	id := c.Identity(check)
 	var resume *sweepCheckpoint
 	if c.Resume != "" {
-		sc, err := loadSweepCheckpoint(c, check)
+		sc, err := loadSweepCheckpoint(c.Resume, id)
 		if err != nil {
 			return err
 		}
@@ -133,7 +122,7 @@ func (c SnapshotConfig) runSweep(check string, sweep *SweepResult, body func(per
 	} else if c.Checkpoint != "" {
 		// Seed sweep.json before the first wiring so a cancel at any
 		// point — even inside wiring 0 — leaves a resumable directory.
-		if err := writeSweepCheckpoint(c.Checkpoint, c.sweepID(check)); err != nil {
+		if err := writeSweepCheckpoint(c.Checkpoint, sweepCheckpoint{Version: sweepMetaVersion, Search: id}); err != nil {
 			return err
 		}
 	}
@@ -170,9 +159,7 @@ func (c SnapshotConfig) runSweep(check string, sweep *SweepResult, body func(per
 			if err := os.RemoveAll(sweepRunDir(c.Checkpoint)); err != nil {
 				return fmt.Errorf("explore: sweep checkpoint: %w", err)
 			}
-			sc := c.sweepID(check)
-			sc.Completed = i + 1
-			sc.Sweep = *sweep
+			sc := sweepCheckpoint{Version: sweepMetaVersion, Search: id, Completed: i + 1, Sweep: *sweep}
 			if err := writeSweepCheckpoint(c.Checkpoint, sc); err != nil {
 				return err
 			}

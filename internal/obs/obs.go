@@ -18,8 +18,9 @@
 // The explorer engines (internal/explore), the step schedulers
 // (internal/sched) and the goroutine runtime (internal/runtime) all
 // publish through this package; cmd/anonexplore and cmd/anonsim expose
-// the results via -report files and a -http introspection endpoint, and
-// cmd/figures renders report files back into tables.
+// the results via -report files, -ledger histories of the same reports
+// and a -http introspection endpoint, and cmd/figures renders reports
+// back into tables and trend trajectories.
 package obs
 
 import (
